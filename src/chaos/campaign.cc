@@ -34,7 +34,10 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
   cluster.retry.enabled = true;
   cluster.retry.deadline = Duration::Millis(800);
   cluster.recovery.enabled = true;
-  EventRecorder recorder;  // used only on the telemetry path
+  // Used only on the telemetry path, and control-only: the correlator
+  // reads faults, transitions and policy actions, never request spans.
+  EventRecorder recorder;
+  recorder.set_request_spans(false);
   if (p.telemetry) {
     cluster.live = p.live;
     cluster.live.enabled = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -46,31 +47,64 @@ std::string FactorToken(double f) {
   return buf;
 }
 
-Duration ParseDur(const std::string& tok, const std::string& stmt) {
-  size_t pos = 0;
+// Parses the numeric prefix of `tok` (std::stod's rule) and sets `*pos` to
+// its length. No numeric prefix, or a non-finite value, is malformed.
+double ParseFinite(const std::string& tok, size_t* pos, const char* what,
+                   const std::string& stmt) {
   double value = 0.0;
   try {
-    value = std::stod(tok, &pos);
+    value = std::stod(tok, pos);
   } catch (const std::exception&) {
-    throw std::invalid_argument("chaos dsl: bad duration '" + tok + "' in '" +
-                                stmt + "'");
+    *pos = 0;
+  }
+  if (*pos == 0 || !std::isfinite(value)) {
+    throw std::invalid_argument(std::string("chaos dsl: bad ") + what + " '" +
+                                tok + "' in '" + stmt + "'");
+  }
+  return value;
+}
+
+// A duration is a non-negative number and a unit, nothing more. `ns` (the
+// round-trip unit) takes an integer only; every value is range-checked
+// before it becomes int64 nanoseconds.
+Duration ParseDur(const std::string& tok, const std::string& stmt) {
+  const auto bad = [&tok, &stmt](const char* why) {
+    return std::invalid_argument("chaos dsl: duration '" + tok + "' " + why +
+                                 " in '" + stmt + "'");
+  };
+  size_t pos = 0;
+  const double value = ParseFinite(tok, &pos, "duration", stmt);
+  if (std::signbit(value)) {
+    throw bad("is negative");
   }
   const std::string unit = tok.substr(pos);
   if (unit == "ns") {
-    // Re-parse as integer for exactness (ns is the round-trip unit).
-    return Duration(static_cast<int64_t>(std::strtoll(tok.c_str(), nullptr, 10)));
+    if (!std::all_of(tok.begin(), tok.begin() + static_cast<long>(pos),
+                     [](char c) { return c >= '0' && c <= '9'; })) {
+      throw bad("needs an integer count of ns");
+    }
+    try {
+      return Duration(static_cast<int64_t>(std::stoll(tok.substr(0, pos))));
+    } catch (const std::out_of_range&) {
+      throw bad("is out of range");
+    }
   }
+  double scale = 0.0;
   if (unit == "us") {
-    return Duration(static_cast<int64_t>(value * 1e3));
+    scale = 1e3;
+  } else if (unit == "ms") {
+    scale = 1e6;
+  } else if (unit == "s") {
+    scale = 1e9;
+  } else {
+    throw bad("needs a unit (ns/us/ms/s)");
   }
-  if (unit == "ms") {
-    return Duration(static_cast<int64_t>(value * 1e6));
+  const double ns = value * scale;
+  // Every double below 2^63 truncates to a representable int64.
+  if (!(ns < 0x1p63)) {
+    throw bad("is out of range");
   }
-  if (unit == "s") {
-    return Duration(static_cast<int64_t>(value * 1e9));
-  }
-  throw std::invalid_argument("chaos dsl: duration '" + tok +
-                              "' needs a unit (ns/us/ms/s) in '" + stmt + "'");
+  return Duration(static_cast<int64_t>(ns));
 }
 
 int ParseInt(const std::string& tok, const std::string& stmt) {
@@ -88,12 +122,13 @@ int ParseInt(const std::string& tok, const std::string& stmt) {
 }
 
 double ParseFactor(const std::string& tok, const std::string& stmt) {
-  try {
-    return std::stod(tok);
-  } catch (const std::exception&) {
+  size_t pos = 0;
+  const double value = ParseFinite(tok, &pos, "factor", stmt);
+  if (pos != tok.size()) {
     throw std::invalid_argument("chaos dsl: bad factor '" + tok + "' in '" +
                                 stmt + "'");
   }
+  return value;
 }
 
 // Parses a comma-separated member list (`nodes=0,1,2`). Empty segments and

@@ -123,7 +123,7 @@ void KvService::ApplyControl(const ControlCommand& cmd) {
 }
 
 uint64_t KvService::BeginTrace(SimTime now) {
-  if (recorder_ == nullptr || !recorder_->enabled()) {
+  if (recorder_ == nullptr || !recorder_->request_spans()) {
     return 0;
   }
   const uint64_t id = recorder_->NextRequestId();

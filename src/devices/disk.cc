@@ -118,7 +118,7 @@ void Disk::Submit(DiskRequest req) {
     }
     return;
   }
-  if (recorder_ != nullptr && recorder_->enabled()) {
+  if (recorder_ != nullptr && recorder_->request_spans()) {
     req.trace_id = recorder_->NextRequestId();
     recorder_->RequestEnqueue(now, trace_comp_, req.trace_id, -1,
                               static_cast<double>(queue_depth() + 1));

@@ -55,7 +55,7 @@ void Switch::Send(NetMessage msg) {
   const int src = msg.src;
   const SimTime now = sim_.Now();
   uint64_t trace_id = 0;
-  if (recorder_ != nullptr && recorder_->enabled()) {
+  if (recorder_ != nullptr && recorder_->request_spans()) {
     trace_id = recorder_->NextRequestId();
     recorder_->RequestEnqueue(now, trace_comp_, trace_id, src,
                               static_cast<double>(send_queues_[src].size() + 1));

@@ -32,7 +32,7 @@ void Node::Compute(double work_units, IoSink done) {
     return;
   }
   Task task{work_units, std::move(done), now, 0};
-  if (recorder_ != nullptr && recorder_->enabled()) {
+  if (recorder_ != nullptr && recorder_->request_spans()) {
     task.trace_id = recorder_->NextRequestId();
     recorder_->RequestEnqueue(now, trace_comp_, task.trace_id, -1,
                               static_cast<double>(queue_depth() + 1));

@@ -7,6 +7,12 @@
 // allocation, no formatting; strings are interned once at wiring time.
 // When the ring wraps, the oldest events are overwritten and counted as
 // dropped (telemetry keeps the most recent window, like a flight recorder).
+//
+// Control-only setting: with set_request_spans(false) the recorder keeps
+// fault, transition, policy, counter and mark events but no request spans.
+// Span producers test request_spans() instead of enabled(), so such a
+// recorder costs a device's hot path what a null recorder does. Campaigns
+// that only correlate fault timelines use it; exporters want the default.
 #ifndef SRC_OBS_RECORDER_H_
 #define SRC_OBS_RECORDER_H_
 
@@ -25,6 +31,11 @@ class EventRecorder {
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
+
+  // Whether request enqueue/start/complete spans are recorded. Off makes
+  // the recorder control-only; enabled() still gates everything else.
+  bool request_spans() const { return enabled_ && request_spans_; }
+  void set_request_spans(bool on) { request_spans_ = on; }
 
   // Interns a component/label name for use in events.
   uint16_t Intern(const std::string& name) { return table_.Intern(name); }
@@ -45,23 +56,24 @@ class EventRecorder {
   // end up exactly as if the events had been Record()ed one at a time.
   void RecordN(const TraceEvent* es, size_t n);
 
-  // -- Convenience emitters (all no-ops when disabled) --
+  // -- Convenience emitters (all no-ops when disabled; the Request* ones
+  // also when control-only) --
 
   void RequestEnqueue(SimTime when, uint16_t component, uint64_t request_id,
                       int32_t device, double queue_depth) {
-    Record({when, EventKind::kRequestEnqueue, component, 0, device, request_id,
-            queue_depth, 0.0});
+    RecordSpan({when, EventKind::kRequestEnqueue, component, 0, device,
+                request_id, queue_depth, 0.0});
   }
   void RequestStart(SimTime when, uint16_t component, uint64_t request_id,
                     int32_t device, Duration queue_wait) {
-    Record({when, EventKind::kRequestStart, component, 0, device, request_id,
-            static_cast<double>(queue_wait.nanos()), 0.0});
+    RecordSpan({when, EventKind::kRequestStart, component, 0, device,
+                request_id, static_cast<double>(queue_wait.nanos()), 0.0});
   }
   void RequestComplete(SimTime when, uint16_t component, uint64_t request_id,
                        int32_t device, Duration queue_wait, Duration service) {
-    Record({when, EventKind::kRequestComplete, component, 0, device, request_id,
-            static_cast<double>(queue_wait.nanos()),
-            static_cast<double>(service.nanos())});
+    RecordSpan({when, EventKind::kRequestComplete, component, 0, device,
+                request_id, static_cast<double>(queue_wait.nanos()),
+                static_cast<double>(service.nanos())});
   }
   void FaultActivate(SimTime when, uint16_t component, uint16_t kind_label,
                      double magnitude, bool correctness) {
@@ -107,8 +119,15 @@ class EventRecorder {
 
  private:
   void Push(const TraceEvent& e);
+  void RecordSpan(const TraceEvent& e) {
+    if (!request_spans()) {
+      return;
+    }
+    Push(e);
+  }
 
   bool enabled_ = true;
+  bool request_spans_ = true;
   size_t capacity_;
   std::vector<TraceEvent> ring_;
   size_t next_ = 0;  // overwrite cursor once the ring is full

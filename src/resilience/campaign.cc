@@ -116,7 +116,10 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
     cluster.nmr = p.nmr;
     cluster.nmr.enabled = true;
   }
+  // Control-only: the correlator below reads faults, transitions and
+  // policy actions, never request spans.
   EventRecorder recorder;
+  recorder.set_request_spans(false);
   KvService svc(sim, cluster, std::make_unique<ProportionalSharePolicy>(),
                 &recorder);
 

@@ -136,6 +136,16 @@ TEST(ChaosDslTest, RejectsMalformedStatements) {
   // A bare token with no '=' and no x-prefix is an error, not ignored.
   EXPECT_THROW(ParseDsl("slow node=1 at=1s for=1s bogus"),
                std::invalid_argument);
+  // Numbers are whole tokens, finite, in range, and non-negative; ns (the
+  // round-trip unit) is integer-only.
+  EXPECT_THROW(ParseDsl("slow node=1 at=1s for=1s x2junk"),
+               std::invalid_argument);
+  EXPECT_THROW(ParseDsl("slow node=1 at=-5s for=1s x2"),
+               std::invalid_argument);
+  EXPECT_THROW(ParseDsl("slow node=1 at=1e30s for=1s x2"),
+               std::invalid_argument);
+  EXPECT_THROW(ParseDsl("slow node=1 at=1.9ns for=1s x2"),
+               std::invalid_argument);
 }
 
 TEST(ChaosScenarioTest, RandomScenarioIsDeterministicPerSeed) {

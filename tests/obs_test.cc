@@ -3,17 +3,28 @@
 // instrumentation of a live device.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/chaos/scenario.h"
+#include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
+#include "src/core/policy.h"
 #include "src/devices/disk.h"
+#include "src/faults/injector.h"
 #include "src/obs/correlator.h"
 #include "src/obs/event.h"
 #include "src/obs/export.h"
+#include "src/obs/live/scorecard.h"
 #include "src/obs/profiler.h"
 #include "src/obs/recorder.h"
 #include "src/simcore/simulator.h"
@@ -22,6 +33,101 @@ namespace fst {
 namespace {
 
 SimTime At(double seconds) { return SimTime::Zero() + Duration::Seconds(seconds); }
+
+// Minimal JSON well-formedness check: objects, arrays, strings and literals
+// by the grammar, numbers only by their character set. True iff `text` is
+// exactly one value with optional surrounding space.
+class JsonChecker {
+ public:
+  static bool Valid(const std::string& text) {
+    JsonChecker c(text);
+    return c.Value() && (c.SkipSpace(), c.i_ == text.size());
+  }
+
+ private:
+  explicit JsonChecker(const std::string& t) : t_(t) {}
+
+  void SkipSpace() {
+    while (i_ < t_.size() && std::isspace(static_cast<unsigned char>(t_[i_]))) {
+      ++i_;
+    }
+  }
+  bool Eat(char c) {
+    SkipSpace();
+    if (i_ < t_.size() && t_[i_] == c) {
+      ++i_;
+      return true;
+    }
+    return false;
+  }
+  bool Literal(const char* word) {
+    const std::string w(word);
+    if (t_.compare(i_, w.size(), w) != 0) {
+      return false;
+    }
+    i_ += w.size();
+    return true;
+  }
+  bool String() {
+    if (!Eat('"')) {
+      return false;
+    }
+    while (i_ < t_.size() && t_[i_] != '"') {
+      if (static_cast<unsigned char>(t_[i_]) < 0x20) {
+        return false;
+      }
+      i_ += t_[i_] == '\\' ? 2 : 1;
+    }
+    return i_++ < t_.size();
+  }
+  bool Number() {
+    const size_t start = i_;
+    while (i_ < t_.size() && std::strchr("+-.0123456789eE", t_[i_]) != nullptr) {
+      ++i_;
+    }
+    return i_ > start;
+  }
+  // Comma-separated `item`s up to `close`, the opener already consumed.
+  template <typename Item>
+  bool Sequence(char close, Item item) {
+    if (Eat(close)) {
+      return true;
+    }
+    do {
+      if (!item()) {
+        return false;
+      }
+    } while (Eat(','));
+    return Eat(close);
+  }
+  bool Value() {
+    SkipSpace();
+    if (i_ >= t_.size()) {
+      return false;
+    }
+    switch (t_[i_]) {
+      case '{':
+        ++i_;
+        return Sequence('}', [this] { return String() && Eat(':') && Value(); });
+      case '[':
+        ++i_;
+        return Sequence(']', [this] { return Value(); });
+      case '"':
+        return String();
+      case 't':
+        return Literal("true");
+      case 'f':
+        return Literal("false");
+      case 'n':
+        return Literal("null");
+      default:
+        return Number();
+    }
+  }
+
+  const std::string& t_;
+  size_t i_ = 0;
+};
 
 // ---------------------------------------------------------------- table
 
@@ -49,6 +155,7 @@ TEST(ComponentTableTest, IdZeroIsEmptyAndUnknownIdsRenderQuestionMark) {
 TEST(EventRecorderTest, DisabledRecorderIsANoOp) {
   EventRecorder rec(16);
   rec.set_enabled(false);
+  EXPECT_FALSE(rec.request_spans());  // producers skip spans too
   rec.Mark(At(1.0), rec.Intern("c"), rec.Intern("m"), 1.0);
   rec.RequestEnqueue(At(2.0), 1, rec.NextRequestId(), 0, 1.0);
   EXPECT_EQ(rec.size(), 0u);
@@ -92,6 +199,59 @@ TEST(EventRecorderTest, RequestIdsAreMonotonic) {
   const uint64_t a = rec.NextRequestId();
   const uint64_t b = rec.NextRequestId();
   EXPECT_LT(a, b);
+}
+
+// Control-only: request spans cost nothing and leave no trace; every
+// control kind still lands, and the exporters still emit valid files.
+TEST(EventRecorderTest, ControlOnlyRecorderDropsRequestSpans) {
+  EventRecorder rec(64);
+  EXPECT_TRUE(rec.request_spans());  // default: record everything
+  rec.set_request_spans(false);
+  EXPECT_TRUE(rec.enabled());
+  EXPECT_FALSE(rec.request_spans());
+  const uint16_t disk0 = rec.Intern("disk0");
+  const uint64_t id = rec.NextRequestId();
+  rec.RequestEnqueue(At(1.0), disk0, id, 0, 1.0);
+  rec.RequestStart(At(1.1), disk0, id, 0, Duration::Seconds(0.1));
+  rec.RequestComplete(At(1.3), disk0, id, 0, Duration::Seconds(0.1),
+                      Duration::Seconds(0.2));
+  EXPECT_EQ(rec.total_recorded(), 0u);
+
+  rec.FaultActivate(At(2.0), disk0, rec.Intern("step"), 3.0, false);
+  rec.StateTransition(At(3.0), disk0, rec.Intern("Healthy->Stuttering"), 1, 0.5);
+  rec.PolicyAction(At(3.5), disk0, rec.Intern("eject"), 0.0);
+  rec.FaultDeactivate(At(4.0), disk0, rec.Intern("step"));
+  rec.CounterSample(At(4.5), disk0, rec.Intern("depth"), 2.0);
+  rec.Mark(At(5.0), disk0, rec.Intern("end"), 1.0);
+  EXPECT_EQ(rec.total_recorded(), 6u);
+  EXPECT_EQ(rec.dropped(), 0u);
+  for (const TraceEvent& e : rec.Events()) {
+    EXPECT_NE(e.kind, EventKind::kRequestEnqueue);
+    EXPECT_NE(e.kind, EventKind::kRequestStart);
+    EXPECT_NE(e.kind, EventKind::kRequestComplete);
+  }
+
+  const CorrelationReport report =
+      CorrelateFaultTimeline(rec.Events(), rec.components());
+  ASSERT_EQ(report.faults.size(), 1u);
+  EXPECT_TRUE(report.faults[0].detected);
+  EXPECT_TRUE(report.faults[0].reacted);
+  EXPECT_TRUE(report.faults[0].cleared);
+
+  const std::string perfetto = PerfettoTraceJson(rec.Events(), rec.components());
+  EXPECT_TRUE(JsonChecker::Valid(perfetto)) << perfetto;
+  EXPECT_FALSE(JsonChecker::Valid(perfetto.substr(0, perfetto.size() - 1)));
+  EXPECT_EQ(perfetto.find("\"ph\":\"X\""), std::string::npos);  // no slices
+  EXPECT_NE(perfetto.find("\"ph\":\"i\""), std::string::npos);  // fault instant
+  const std::string jsonl = EventsJsonl(rec.Events(), rec.components());
+  std::istringstream in(jsonl);
+  std::string line;
+  int lines = 0;
+  while (std::getline(in, line)) {
+    EXPECT_TRUE(JsonChecker::Valid(line)) << line;
+    ++lines;
+  }
+  EXPECT_EQ(lines, 7);  // header + 6 events
 }
 
 TEST(EventRecorderTest, ClearEmptiesTheRing) {
@@ -356,6 +516,106 @@ TEST(ObsIntegrationTest, DiskEmitsRequestSpans) {
     latency_total += static_cast<double>(l.nanos());
   }
   EXPECT_NEAR(span_total, latency_total, 1.0);
+}
+
+// Serves one seeded chaos scenario with a recorder attached and returns
+// what the campaigns derive from it.
+struct ServedScenario {
+  uint64_t fire_digest = 0;
+  std::string control_jsonl;  // every non-span event, in snapshot order
+  std::string correlation_json;
+  std::string scorecard_json;
+  int detected = 0;
+  int gray_faults = 0;
+  uint64_t recorded = 0;
+  uint64_t dropped = 0;
+};
+
+ServedScenario ServeChaosScenario(uint64_t seed, bool request_spans) {
+  Simulator sim(seed);
+  ClusterParams cluster;
+  cluster.nodes = 4;
+  cluster.shard.replication = 2;
+  cluster.write_quorum = 2;
+  cluster.retry.enabled = true;
+  cluster.retry.deadline = Duration::Millis(800);
+  cluster.recovery.enabled = true;
+  cluster.live.enabled = true;
+  EventRecorder recorder;
+  recorder.set_request_spans(request_spans);
+  KvService svc(sim, cluster, std::make_unique<ProportionalSharePolicy>(),
+                &recorder);
+  FaultInjector injector(sim);
+  injector.set_recorder(&recorder);
+
+  RandomScenarioParams sp;
+  sp.nodes = cluster.nodes;
+  sp.horizon = Duration::Seconds(12.0);
+  sp.gray_faults = 2;
+  const ChaosSchedule schedule = RandomScenario(seed, sp);
+  const auto has = [&schedule](ChaosKind k) {
+    return std::any_of(schedule.events.begin(), schedule.events.end(),
+                       [k](const ChaosEvent& e) { return e.kind == k; });
+  };
+  EXPECT_TRUE(has(ChaosKind::kCrash) || has(ChaosKind::kFlap));
+  EXPECT_TRUE(has(ChaosKind::kSlow));  // the gray stutters
+  ApplySchedule(sim, svc, schedule, injector);
+
+  ColumnarFleetParams fp;
+  fp.base.arrivals_per_sec = 300.0;
+  fp.base.run_for = sp.horizon;
+  fp.base.read_fraction = 0.7;
+  fp.base.key_space = 400;
+  ColumnarFleet fleet(sim, fp);
+  const SimTime end_of_run = SimTime::Zero() + sp.horizon + Duration::Seconds(6.0);
+  svc.StartRecovery(end_of_run);
+  svc.StartTelemetry(end_of_run);
+  fleet.Run(svc, [](const FleetResult&) {});
+  sim.Run();
+
+  ServedScenario out;
+  out.fire_digest = sim.fire_digest();
+  const std::vector<TraceEvent> events = recorder.Events();
+  std::vector<TraceEvent> control;
+  std::copy_if(events.begin(), events.end(), std::back_inserter(control),
+               [](const TraceEvent& e) {
+                 return e.kind != EventKind::kRequestEnqueue &&
+                        e.kind != EventKind::kRequestStart &&
+                        e.kind != EventKind::kRequestComplete;
+               });
+  out.control_jsonl = EventsJsonl(control, recorder.components());
+  const CorrelationReport report =
+      CorrelateFaultTimeline(events, recorder.components());
+  out.correlation_json = report.ToJson();
+  out.detected = report.detected_count;
+  const DetectorScorecard card =
+      BuildScorecard(report, svc.live()->expectation().GraySpans(), end_of_run);
+  out.scorecard_json = card.ToJson();
+  out.gray_faults = card.gray_faults;
+  out.recorded = recorder.total_recorded();
+  out.dropped = recorder.dropped();
+  return out;
+}
+
+// A control-only recorder changes nothing a campaign reads: the same
+// events fire, it holds exactly the full recorder's non-span events, and
+// the correlation report and detector scorecard match byte for byte.
+TEST(ObsIntegrationTest, ControlOnlyRecorderMatchesFullRecorder) {
+  for (uint64_t seed : {3u, 11u}) {
+    const ServedScenario full = ServeChaosScenario(seed, true);
+    const ServedScenario control = ServeChaosScenario(seed, false);
+    // Precondition: the full ring never wrapped, so both saw every
+    // control event.
+    ASSERT_EQ(full.dropped, 0u) << "seed " << seed;
+    EXPECT_GT(full.detected, 0) << "seed " << seed;
+    EXPECT_GT(full.gray_faults, 0) << "seed " << seed;
+    EXPECT_LT(control.recorded * 100, full.recorded)
+        << "spans should dominate the full ring";
+    EXPECT_EQ(control.fire_digest, full.fire_digest) << "seed " << seed;
+    EXPECT_EQ(control.control_jsonl, full.control_jsonl) << "seed " << seed;
+    EXPECT_EQ(control.correlation_json, full.correlation_json) << "seed " << seed;
+    EXPECT_EQ(control.scorecard_json, full.scorecard_json) << "seed " << seed;
+  }
 }
 
 TEST(ObsIntegrationTest, SimProfilerSamplesEventLoop) {
