@@ -1,14 +1,63 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <utility>
 
 namespace fst {
+namespace {
+
+void ValidateClusterParams(const ClusterParams& params) {
+  if (params.nodes < 1) {
+    throw std::invalid_argument("ClusterParams.nodes must be >= 1");
+  }
+  if (params.shard.replication < 1 ||
+      params.shard.replication > params.nodes) {
+    throw std::invalid_argument(
+        "ClusterParams.shard.replication must be in [1, nodes]");
+  }
+  if (params.write_quorum < 1 ||
+      params.write_quorum > params.shard.replication) {
+    throw std::invalid_argument(
+        "ClusterParams.write_quorum must be in [1, shard.replication]");
+  }
+  if (params.nmr.enabled &&
+      (params.nmr.quorum < 1 || params.nmr.quorum > params.nmr.issue)) {
+    throw std::invalid_argument("NmrParams.quorum must be in [1, issue]");
+  }
+  if (!params.recovery.enabled) {
+    return;
+  }
+  const RecoveryParams& rp = params.recovery;
+  if (rp.heartbeat_every <= Duration::Zero()) {
+    throw std::invalid_argument("RecoveryParams.heartbeat_every must be > 0");
+  }
+  if (rp.liveness_timeout <= Duration::Zero()) {
+    throw std::invalid_argument("RecoveryParams.liveness_timeout must be > 0");
+  }
+  // RepairStep reschedules itself every Duration::Seconds(1 / rate): that
+  // interval must be a positive, representable number of nanoseconds.
+  const double rate = rp.repair_keys_per_sec;
+  if (rate == 0.0) {
+    return;  // repair off
+  }
+  const double interval_ns = 1.0 / rate * 1e9;
+  if (!(std::isfinite(rate) && rate > 0.0 && interval_ns >= 1.0 &&
+        interval_ns < 0x1p63)) {
+    throw std::invalid_argument(
+        "RecoveryParams.repair_keys_per_sec must be 0 or a finite rate "
+        "whose interval 1/rate is in [1 ns, Duration::Max()]");
+  }
+}
+
+}  // namespace
 
 KvService::KvService(Simulator& sim, ClusterParams params,
                      std::unique_ptr<ReactionPolicy> policy,
                      EventRecorder* recorder)
-    : sim_(sim), params_(std::move(params)), recorder_(recorder),
+    : sim_(sim), params_((ValidateClusterParams(params), std::move(params))),
+      recorder_(recorder),
       shard_map_(params_.nodes, params_.shard),
       selector_(params_.route, params_.nodes, sim.rng().Fork()),
       admission_(params_.nodes, params_.admission),
@@ -423,6 +472,9 @@ void KvService::OnAttemptComplete(const AttemptCtx& ctx, bool ok) {
           auto& v = acked_[ctx.key];
           if (ctx.version > v) {
             v = ctx.version;
+            if (params_.recovery.enabled) {
+              repair_due_.insert(ctx.key);
+            }
           }
         }
         FinishOp(ctx.op_id, true);
@@ -701,10 +753,9 @@ void KvService::StartTelemetry(SimTime until) {
 
 void KvService::TelemetryTick() {
   const SimTime now = sim_.Now();
-  const SloSnapshot s = slo_.Snapshot();
   OutcomeCounts counts;
-  counts.good = s.goodput;
-  counts.bad = s.bad();
+  counts.good = slo_.goodput();
+  counts.bad = slo_.late() + slo_.shed() + slo_.errors();
   live_->Tick(now, counts);
   if (now < telemetry_until_) {
     sim_.Schedule(live_->window(), [this] { TelemetryTick(); });
@@ -716,6 +767,7 @@ void KvService::OnNodeCrash(int node) {
   // Invalidate any in-flight weight ramp; the node is gone again.
   ++ramp_gen_[static_cast<size_t>(node)];
   store_[static_cast<size_t>(node)].clear();
+  repair_rescan_ = true;  // any acked key may have lost this copy
   // Detection (eject + handoff) happens through the normal observation
   // paths: in-flight requests fail (ObserveFailure) or the heartbeat
   // timeout fires — the service has no oracle into device state.
@@ -809,27 +861,38 @@ void KvService::KickRepair() {
 void KvService::RepairStep() {
   const Duration interval =
       Duration::Seconds(1.0 / params_.recovery.repair_keys_per_sec);
-  if (acked_.empty()) {
-    repair_active_ = false;
-    return;
-  }
-  auto it = acked_.lower_bound(repair_cursor_);
-  const size_t n = acked_.size();
-  for (size_t scanned = 0; scanned < n; ++scanned) {
-    if (it == acked_.end()) {
-      it = acked_.begin();
+  if (repair_rescan_ || repair_epoch_ != shard_map_.epoch()) {
+    // A wiped store or a moved replica set can leave any acked key short
+    // of a copy: every acked key is due again.
+    repair_rescan_ = false;
+    repair_epoch_ = shard_map_.epoch();
+    repair_due_.clear();
+    for (const auto& entry : acked_) {
+      repair_due_.emplace_hint(repair_due_.end(), entry.first);
     }
-    const uint64_t key = it->first;
-    const uint64_t ver = it->second;
-    const std::vector<int> replicas = shard_map_.ReplicasFor(key);
+  }
+  // Due keys in key order from the cursor, wrapping, each at most once.
+  // Keys outside the set have no target, so the first key acted on is the
+  // one a scan of the whole ledger would pick.
+  auto it = repair_due_.lower_bound(repair_cursor_);
+  const size_t n = repair_due_.size();
+  for (size_t visited = 0; visited < n; ++visited) {
+    if (it == repair_due_.end()) {
+      it = repair_due_.begin();
+    }
+    const uint64_t key = *it;
+    const uint64_t ver = acked_.find(key)->second;
+    shard_map_.ReplicasFor(key, replicas_scratch_);
     int target = -1;
-    for (int r : replicas) {
-      if (nodes_[static_cast<size_t>(r)]->has_failed()) {
-        continue;
-      }
+    bool complete = true;  // every replica, up or down, holds `ver`
+    for (int r : replicas_scratch_) {
       const auto& s = store_[static_cast<size_t>(r)];
       const auto f = s.find(key);
-      if (f == s.end() || f->second < ver) {
+      if (f != s.end() && f->second >= ver) {
+        continue;
+      }
+      complete = false;
+      if (!nodes_[static_cast<size_t>(r)]->has_failed()) {
         target = r;
         break;
       }
@@ -866,10 +929,13 @@ void KvService::RepairStep() {
         sim_.Schedule(interval, [this] { RepairStep(); });
         return;
       }
+    } else if (complete) {
+      it = repair_due_.erase(it);
+      continue;
     }
     ++it;
   }
-  // Full pass found nothing to do: go idle until the next kick.
+  // Nothing due could be repaired: go idle until the next kick.
   repair_active_ = false;
 }
 

@@ -31,6 +31,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,7 +68,7 @@ struct RecoveryParams {
   double heartbeat_work = 100.0;
   // Anti-entropy repair: re-replicates acked keys whose current owner set
   // is missing copies, one key per 1/repair_keys_per_sec, each copy costing
-  // write_work * repair_work_factor on the target.
+  // write_work * repair_work_factor on the target. 0 turns repair off.
   double repair_keys_per_sec = 400.0;
   double repair_work_factor = 1.0;
   // Recovered nodes rejoin at `ramp_initial` selector weight and climb to
@@ -142,6 +143,13 @@ struct ControlCommand {
 
 class KvService {
  public:
+  // Throws std::invalid_argument unless `params` describes a cluster the
+  // service can run: nodes >= 1, shard.replication in [1, nodes],
+  // write_quorum in [1, replication], and nmr.quorum in [1, nmr.issue]
+  // when NMR is on. With recovery on, heartbeat_every and
+  // liveness_timeout must be positive and repair_keys_per_sec must be 0
+  // (off) or a finite rate whose interval 1/rate is at least 1 ns and
+  // fits a Duration.
   KvService(Simulator& sim, ClusterParams params,
             std::unique_ptr<ReactionPolicy> policy,
             EventRecorder* recorder = nullptr);
@@ -378,7 +386,7 @@ class KvService {
   // (never reused across a call that can re-enter ranking).
   std::vector<PerformanceStateRegistry::ObsChannel> channels_;
   ReplicaSelector::DepthFn depth_fn_;
-  std::vector<int> replicas_scratch_;
+  std::vector<int> replicas_scratch_;  // RepairStep's ring walks
   std::vector<int> ranked_scratch_;
 
   // Epoch-cached routing state, one entry per consistent-hash ring
@@ -411,7 +419,7 @@ class KvService {
   int64_t peak_mirror_backlog_ = 0;
 
   // Data plane: per-node stores (key -> version) plus the acked ledger
-  // (ordered so repair scans are deterministic).
+  // (ordered, so the repair-due set refills in key order).
   std::vector<std::unordered_map<uint64_t, uint64_t>> store_;
   std::map<uint64_t, uint64_t> acked_;
   uint64_t next_version_ = 1;
@@ -423,6 +431,15 @@ class KvService {
   SimTime recovery_until_;
   bool repair_active_ = false;
   uint64_t repair_cursor_ = 0;
+  // Repair-due set: the acked keys that may be missing a copy, ordered so
+  // repair walks them in key order. Invariant: every key with a repair
+  // target is in it. A key enters when its acked version rises; every
+  // acked key re-enters at the next step after a crash wipes a store
+  // (repair_rescan_) or the ring's epoch moves (repair_epoch_); a step
+  // drops a key once every replica, up or down, holds the acked version.
+  std::set<uint64_t> repair_due_;
+  bool repair_rescan_ = false;
+  uint64_t repair_epoch_ = 0;  // ShardMap epoch the previous step saw
   int crashes_ = 0;
   int recoveries_ = 0;
   int64_t keys_repaired_ = 0;

@@ -134,11 +134,24 @@ uint64_t ShardMap::OwnershipDigest(int samples) const {
       h *= 1099511628211ull;
     }
   };
+  // Probe keys share segments, so each segment is walked at most once:
+  // row `seg` holds its set size (-1 until walked), then its members. On
+  // an empty ring every key maps to row 0, whose set is empty.
+  const int want = std::clamp(params_.replication, 0, live_nodes_);
+  const size_t width = static_cast<size_t>(want) + 1;
+  std::vector<int> rows(std::max<size_t>(ring_.size(), 1) * width, -1);
+  std::vector<int> replicas;
   for (int i = 0; i < samples; ++i) {
-    const std::vector<int> replicas = ReplicasFor(static_cast<uint64_t>(i));
-    fold(replicas.size());
-    for (int r : replicas) {
-      fold(static_cast<uint64_t>(r));
+    const size_t seg = SegmentOf(static_cast<uint64_t>(i));
+    int* row = &rows[seg * width];
+    if (row[0] < 0) {
+      ReplicasForSegment(seg, replicas);
+      row[0] = static_cast<int>(replicas.size());
+      std::copy(replicas.begin(), replicas.end(), row + 1);
+    }
+    fold(static_cast<uint64_t>(row[0]));
+    for (int k = 1; k <= row[0]; ++k) {
+      fold(static_cast<uint64_t>(row[k]));
     }
   }
   return h;

@@ -544,6 +544,56 @@ TEST(CrashRecoveryTest, ServiceHealsAfterScriptedCrash) {
   EXPECT_GT(svc.slo().goodput(), 0);
 }
 
+// A crash too short for any detector still wipes the node's store, so
+// anti-entropy repair must notice the missing copies on its own: no
+// request is in flight, a probe to a down node proves nothing, and the
+// 1 s liveness timeout never expires before the node is back. Restarting
+// at 5.060 s puts no repair step inside the down window; restarting at
+// 5.600 s lets the 5.25 s and 5.5 s kicks run steps that see the node
+// down and missing its keys, which must stay due until it returns.
+TEST(CrashRecoveryTest, UndetectedShortCrashIsStillRepaired) {
+  const struct {
+    double restart_at;
+    uint64_t digest;
+  } kCases[] = {
+      {5.060, 0x0c901a04d8dc7cd9ULL},
+      {5.600, 0x76b857818ca1522cULL},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.restart_at);
+    Simulator sim(5);
+    ClusterParams params;
+    params.nodes = 4;
+    params.shard.replication = 2;
+    params.write_quorum = 2;
+    params.recovery.enabled = true;
+    KvService svc(sim, params, std::make_unique<ProportionalSharePolicy>());
+    svc.StartRecovery(At(10.0));
+
+    int acked = 0;
+    for (uint64_t key = 0; key < 200; ++key) {
+      sim.ScheduleAt(At(0.010 * static_cast<double>(key)),
+                     [&svc, &acked, key] {
+                       svc.Put(key, [&acked](const IoResult& r) {
+                         acked += r.ok ? 1 : 0;
+                       });
+                     });
+    }
+    sim.ScheduleAt(At(5.010), [&svc] { svc.node(1)->FailStop(); });
+    sim.ScheduleAt(At(c.restart_at), [&svc] { svc.node(1)->Restart(); });
+    sim.Run();
+
+    EXPECT_EQ(acked, 200);
+    EXPECT_EQ(svc.crashes(), 1);
+    EXPECT_EQ(svc.recoveries(), 0);
+    EXPECT_EQ(svc.shard_map().rebalances(), 0);
+    EXPECT_EQ(svc.keys_repaired(), 155);
+    EXPECT_EQ(svc.under_replicated_keys(), 0);
+    EXPECT_EQ(svc.lost_acked_writes(), 0);
+    EXPECT_EQ(sim.fire_digest(), c.digest);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // E23 closed form: goodput through a crash, with and without repair.
 //

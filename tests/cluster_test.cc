@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -130,6 +131,63 @@ TEST(ShardMapTest, AllNodesEjectedYieldsEmptySets) {
   map.Eject(2);
   EXPECT_EQ(map.live_nodes(), 0);
   EXPECT_TRUE(map.ReplicasFor(42).empty());
+}
+
+// Reference fold for OwnershipDigest: FNV-1a over (set size, members...)
+// of probe keys 0..samples-1, each value as 8 little-endian bytes, using
+// nothing but the public per-key lookup.
+uint64_t ReferenceOwnershipDigest(const ShardMap& map, int samples) {
+  uint64_t h = 14695981039346656037ull;
+  const auto fold = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (int i = 0; i < samples; ++i) {
+    const std::vector<int> replicas = map.ReplicasFor(static_cast<uint64_t>(i));
+    fold(replicas.size());
+    for (const int r : replicas) {
+      fold(static_cast<uint64_t>(r));
+    }
+  }
+  return h;
+}
+
+TEST(ShardMapTest, OwnershipDigestMatchesPerKeyReferenceFold) {
+  Rng rng(2024);
+  for (int nodes = 1; nodes <= 8; ++nodes) {
+    for (int replication = 1; replication <= 3; ++replication) {
+      for (const int vnodes : {0, 1, 16, 64}) {
+        ShardMap map(nodes, {vnodes, replication});
+        const std::string where = "nodes=" + std::to_string(nodes) +
+                                  " r=" + std::to_string(replication) +
+                                  " vnodes=" + std::to_string(vnodes);
+        EXPECT_EQ(map.OwnershipDigest(), ReferenceOwnershipDigest(map, 2048))
+            << where;
+        for (int trial = 0; trial < 6; ++trial) {
+          for (int n = 0; n < nodes; ++n) {
+            if (rng.UniformInt(0, 2) == 0) {
+              map.Eject(n);
+            } else {
+              map.Uneject(n);
+            }
+          }
+          const int samples = trial == 0 ? 2048 : static_cast<int>(
+                                                      rng.UniformInt(0, 700));
+          EXPECT_EQ(map.OwnershipDigest(samples),
+                    ReferenceOwnershipDigest(map, samples))
+              << where << " trial " << trial << " samples " << samples;
+        }
+        for (int n = 0; n < nodes; ++n) {
+          map.Eject(n);
+        }
+        ASSERT_EQ(map.live_nodes(), 0) << where;
+        EXPECT_EQ(map.OwnershipDigest(), ReferenceOwnershipDigest(map, 2048))
+            << where << " all ejected";
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -706,6 +764,104 @@ TEST(ReplicaSelectorTest, ScratchCapacityReleasedAfterHugeRank) {
   for (int i = 0; i < 100; ++i) {
     sel.RankInto(small, depth, out);
     ASSERT_LE(sel.scratch_capacity(), ReplicaSelector::kScratchRetainCap);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ClusterParams validation: bad configs throw at construction
+// ---------------------------------------------------------------------------
+
+void BuildService(const ClusterParams& params) {
+  Simulator sim(1);
+  KvService svc(sim, params, std::make_unique<ProportionalSharePolicy>());
+}
+
+ClusterParams WithRecovery() {
+  ClusterParams p;
+  p.recovery.enabled = true;
+  return p;
+}
+
+TEST(ClusterParamsTest, RejectsNodesBelowOne) {
+  ClusterParams p;
+  p.shard.replication = 1;
+  p.write_quorum = 1;
+  for (const int nodes : {0, -3}) {
+    p.nodes = nodes;
+    EXPECT_THROW(BuildService(p), std::invalid_argument) << nodes;
+  }
+  p.nodes = 1;
+  EXPECT_NO_THROW(BuildService(p));
+}
+
+TEST(ClusterParamsTest, RejectsReplicationOutsideOneToNodes) {
+  ClusterParams p;  // 4 nodes, write_quorum 1
+  for (const int replication : {0, -1, 5}) {
+    p.shard.replication = replication;
+    EXPECT_THROW(BuildService(p), std::invalid_argument) << replication;
+  }
+  for (const int replication : {1, 4}) {
+    p.shard.replication = replication;
+    EXPECT_NO_THROW(BuildService(p)) << replication;
+  }
+}
+
+TEST(ClusterParamsTest, RejectsWriteQuorumOutsideOneToReplication) {
+  ClusterParams p;  // replication 2
+  for (const int quorum : {0, -2, 3}) {
+    p.write_quorum = quorum;
+    EXPECT_THROW(BuildService(p), std::invalid_argument) << quorum;
+  }
+  p.write_quorum = 2;
+  EXPECT_NO_THROW(BuildService(p));
+}
+
+TEST(ClusterParamsTest, RejectsNmrQuorumOutsideOneToIssue) {
+  ClusterParams p;
+  p.nmr.issue = 2;
+  p.nmr.quorum = 3;
+  EXPECT_NO_THROW(BuildService(p));  // NMR off: its knobs are unused
+  p.nmr.enabled = true;
+  for (const int quorum : {0, 3}) {
+    p.nmr.quorum = quorum;
+    EXPECT_THROW(BuildService(p), std::invalid_argument) << quorum;
+  }
+  p.nmr.quorum = 2;
+  EXPECT_NO_THROW(BuildService(p));
+}
+
+TEST(ClusterParamsTest, RejectsNonPositiveHeartbeatWithRecovery) {
+  ClusterParams p = WithRecovery();
+  for (const Duration every : {Duration::Zero(), Duration::Millis(-250)}) {
+    p.recovery.heartbeat_every = every;
+    EXPECT_THROW(BuildService(p), std::invalid_argument) << every.nanos();
+  }
+  p.recovery.enabled = false;  // no heartbeats are scheduled
+  EXPECT_NO_THROW(BuildService(p));
+}
+
+TEST(ClusterParamsTest, RejectsNonPositiveLivenessTimeoutWithRecovery) {
+  ClusterParams p = WithRecovery();
+  for (const Duration timeout : {Duration::Zero(), Duration::Seconds(-1.0)}) {
+    p.recovery.liveness_timeout = timeout;
+    EXPECT_THROW(BuildService(p), std::invalid_argument) << timeout.nanos();
+  }
+  p.recovery.liveness_timeout = Duration::Nanos(1);
+  EXPECT_NO_THROW(BuildService(p));
+}
+
+TEST(ClusterParamsTest, RejectsUnrepresentableRepairRate) {
+  ClusterParams p = WithRecovery();
+  // Negative, NaN, infinite, an interval past Duration::Max() (1e11 s),
+  // and an interval that truncates to 0 ns.
+  for (const double rate : {-1.0, std::nan(""), HUGE_VAL, 1e-11, 2e9}) {
+    p.recovery.repair_keys_per_sec = rate;
+    EXPECT_THROW(BuildService(p), std::invalid_argument) << rate;
+  }
+  // 0 turns repair off; 1e-9 is a 1e9 s interval, still representable.
+  for (const double rate : {0.0, 1e-9, 400.0, 1e9}) {
+    p.recovery.repair_keys_per_sec = rate;
+    EXPECT_NO_THROW(BuildService(p)) << rate;
   }
 }
 

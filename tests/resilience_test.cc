@@ -531,6 +531,29 @@ ResilienceCampaignParams SmallCampaign() {
   return p;
 }
 
+// One control-plane cell per scenario, pinned by fire digest: every
+// repair, heartbeat and telemetry event lands on the same (when, seq) as
+// in the reference run, so bookkeeping changes must not move any event.
+TEST(ResilienceCampaignTest, ControlPlaneCellDigestsArePinned) {
+  ResilienceCampaignParams p;
+  p.control_plane = true;
+  const struct {
+    ResilienceScenario scenario;
+    uint64_t digest;
+  } kPinned[] = {
+      {ResilienceScenario::kClean, 0xba522542b57390b3ULL},
+      {ResilienceScenario::kGray, 0x2b27e6af9189cc91ULL},
+      {ResilienceScenario::kCorrelated, 0xa64c5ce97b2477b9ULL},
+      {ResilienceScenario::kRetryStorm, 0x6ae0c5b367ccd888ULL},
+  };
+  for (const auto& pin : kPinned) {
+    const ResilienceCellOutcome o =
+        RunResilienceCell(p, pin.scenario, ResiliencePattern::kNone, 1);
+    EXPECT_EQ(o.fire_digest, pin.digest)
+        << ResilienceScenarioName(pin.scenario);
+  }
+}
+
 TEST(ResilienceCampaignTest, ScorecardByteIdenticalAcrossThreadCounts) {
   ResilienceCampaignParams p = SmallCampaign();
   p.threads = 1;
