@@ -30,7 +30,6 @@
 #include "src/cluster/selector.h"
 #include "src/simcore/arena.h"
 #include "src/simcore/rng.h"
-#include "src/simcore/rng_block.h"
 
 namespace fst {
 namespace {
@@ -501,22 +500,6 @@ void BM_HotPathRngScalarDraws(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * buf.size());
 }
 BENCHMARK(BM_HotPathRngScalarDraws);
-
-// Uniform draws, blockwise: same draw sequence through RngBlock's bulk
-// fill. On a hot-in-cache straight line this is parity with scalar (the
-// xoshiro dependency chain bounds both); the block's win is in the
-// interleaved serving loops, where buffered words keep the generator
-// state out of branchy, cache-missing consumption code.
-void BM_HotPathRngBlockDraws(benchmark::State& state) {
-  RngBlock rng(Rng(7));
-  std::array<double, 256> buf;
-  for (auto _ : state) {
-    rng.FillUniform(buf.data(), buf.size());
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetItemsProcessed(state.iterations() * buf.size());
-}
-BENCHMARK(BM_HotPathRngBlockDraws);
 
 // One sequencer tick's transient scratch (arrival window SoA: three
 // parallel arrays), allocated fresh from the heap each tick.

@@ -4,11 +4,13 @@
 // Each case runs twice — once against LegacyEventQueue (a verbatim copy of
 // the pre-overhaul implementation: lazy-cancellation binary heap over
 // std::function callbacks) and once against the production EventQueue
-// (slab + generation-stamped ids, index-tracked 4-ary heap, hierarchical
-// timer wheel, InlineCallback). The legacy copy lives only here, as the
-// permanent measurement baseline; the speedup is the ratio of the paired
-// rows. Headline targets from the overhaul issue: >=3x on cancel_heavy,
-// >=1.5x on mixed schedule/fire.
+// (slab + generation-stamped ids, index-tracked 4-ary heap,
+// InlineCallback). The legacy copy lives only here, as the permanent
+// measurement baseline; the speedup is the ratio of the paired rows.
+// Shape properties CI asserts: cancel_heavy/new beats the legacy O(n)
+// cancel scan, and hedge_storm/new's per-event cost stays within 2x from
+// a 512- to an 8192-event burst (a structure whose per-event cost grows
+// with the burst's population fails it).
 //
 // Run:            ./bench_simcore
 // JSON telemetry: FST_TELEMETRY_DIR=dir ./bench_simcore   (BENCH_simcore.json)
@@ -137,7 +139,7 @@ typename Q::Callback MakeCallback(uint64_t* sink) {
 // Mixed-horizon delay, ns: the distribution the storage stack generates.
 // 10% immediate, 40% short (50us-2ms: disk service, hedge delays), 40%
 // medium (2-500ms: SCSI timeouts, detector periods), 10% far (30-300s:
-// availability horizons) — the far tail lands beyond the wheel horizon.
+// availability horizons).
 int64_t MixedDelayNs(Rng& rng) {
   const double u = rng.UniformDouble();
   if (u < 0.10) {
@@ -249,8 +251,8 @@ void BM_HedgeStorm(benchmark::State& state) {
 }
 
 // ------------------------------------------------------------ mixed horizon
-// Fill-then-drain across the full delay spectrum, stressing wheel overflow
-// and heap/wheel interleaving. One item = one scheduled+fired event.
+// Fill-then-drain across the full delay spectrum at a deep (65,536-event)
+// queue. One item = one scheduled+fired event.
 template <typename Q>
 void BM_MixedHorizonFillDrain(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -58,8 +58,8 @@ bool ArrivalGenerator::FillWindow(ArrivalBatch& batch, size_t max,
   }
   // Stage 2: per-arrival key + op-kind coin off the key stream. Per
   // arrival the per-event path draws exactly two uniforms — the Zipf
-  // inversion point, then the coin — so bulk-filling 2n uniforms off the
-  // key block reproduces the stream verbatim. Splitting draw from table
+  // inversion point, then the coin — so drawing 2n uniforms off the key
+  // stream up front reproduces it verbatim. Splitting draw from table
   // walk lets the Zipf lookups software-pipeline: prefetch the guide row
   // ~16 arrivals ahead and the cdf midpoint ~8 ahead, both from already-
   // known inversion points, hiding the 8 MB cdf's cache misses.
@@ -73,7 +73,9 @@ bool ArrivalGenerator::FillWindow(ArrivalBatch& batch, size_t max,
     u_scratch_.resize(2 * n);
     u = u_scratch_.data();
   }
-  key_rng_.FillUniform(u, 2 * n);
+  for (size_t i = 0; i < 2 * n; ++i) {
+    u[i] = key_rng_.UniformDouble();
+  }
   for (size_t i = 0; i < n; ++i) {
     if (i + 16 < n) {
       zipf_.PrefetchFar(u[2 * (i + 16)]);

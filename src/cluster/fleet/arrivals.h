@@ -28,7 +28,6 @@
 #include "src/cluster/client.h"
 #include "src/simcore/arena.h"
 #include "src/simcore/rng.h"
-#include "src/simcore/rng_block.h"
 #include "src/simcore/simulator.h"
 #include "src/simcore/time.h"
 
@@ -85,12 +84,11 @@ class ArrivalGenerator {
   ArrivalMode mode_;
   std::vector<MmppPhase> phases_;
   uint32_t num_clients_;
-  // Blockwise wrappers over the forked streams: identical draw sequences
-  // to the scalar Rng they own, amortised refills. Each stream is private
-  // to one draw site, so buffering cannot reorder anything observable.
-  RngBlock arrival_rng_;
-  RngBlock key_rng_;
-  RngBlock client_rng_;
+  // One private forked stream per draw site, so each stage's draw order
+  // is independent of the others'.
+  Rng arrival_rng_;
+  Rng key_rng_;
+  Rng client_rng_;
   ZipfGenerator zipf_;
   SimTime cursor_;
   TickArena* arena_ = nullptr;

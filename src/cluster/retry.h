@@ -30,7 +30,6 @@
 #include <cstdint>
 
 #include "src/simcore/rng.h"
-#include "src/simcore/rng_block.h"
 #include "src/simcore/time.h"
 
 namespace fst {
@@ -81,7 +80,7 @@ class RetryPolicy {
   };
 
   RetryPolicy(RetryParams params, Rng rng)
-      : params_(params), rng_(RngBlock(rng)), tokens_(params.budget_cap) {}
+      : params_(params), rng_(rng), tokens_(params.budget_cap) {}
 
   // Earns budget tokens; call once per client arrival.
   void OnArrival() {
@@ -114,9 +113,8 @@ class RetryPolicy {
   Duration BackoffFor(int attempts_made);
 
   RetryParams params_;
-  // Blockwise wrapper over the policy's private jitter stream: identical
-  // draw sequence to the scalar Rng, amortised refills under retry storms.
-  RngBlock rng_;
+  // The policy's private jitter stream.
+  Rng rng_;
   double tokens_;
   Stats stats_;
 };

@@ -19,7 +19,7 @@ const char* RouteModeName(RouteMode m) {
 
 ReplicaSelector::ReplicaSelector(RouteMode mode, int nodes, Rng rng)
     : mode_(mode), weights_(static_cast<size_t>(nodes), 1.0),
-      rng_(RngBlock(std::move(rng))) {}
+      rng_(std::move(rng)) {}
 
 void ReplicaSelector::SetWeight(int node, double weight) {
   double& slot = weights_[static_cast<size_t>(node)];

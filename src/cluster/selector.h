@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/simcore/rng.h"
-#include "src/simcore/rng_block.h"
 
 namespace fst {
 
@@ -102,9 +101,8 @@ class ReplicaSelector {
 
   RouteMode mode_;
   std::vector<double> weights_;
-  // Tie-break stream behind a blockwise wrapper: one UniformDouble per
-  // emitted rank position, same sequence as the scalar Rng would yield.
-  RngBlock rng_;
+  // Tie-break stream: one UniformDouble per emitted rank position.
+  Rng rng_;
   uint64_t epoch_ = 1;
   std::vector<std::pair<int, double>> scored_scratch_;
 };

@@ -95,29 +95,34 @@ BatchPlan ProportionalStriper::Plan(int64_t nblocks,
   const std::vector<int64_t> shares = Apportion(nblocks, pair_rates);
   // Smooth weighted round-robin so every pair streams continuously from
   // the start of the batch (contiguous ranges would serialize unevenly if
-  // a pair stalls mid-batch).
-  std::vector<int64_t> given(pair_rates.size(), 0);
-  std::vector<double> credit(pair_rates.size(), 0.0);
+  // a pair stalls mid-batch). One vector of per-pair state rather than two
+  // parallel ones: the pair of vectors trips a GCC 12 -Wfree-nonheap-object
+  // false positive under LTO.
+  struct PairState {
+    int64_t given = 0;
+    double credit = 0.0;
+  };
+  std::vector<PairState> state(shares.size());
   for (LogicalBlock b = 0; b < nblocks; ++b) {
     // Pick the pair with the largest (share - given)/share deficit.
     int best = -1;
     double best_deficit = -1.0;
     for (size_t p = 0; p < shares.size(); ++p) {
-      if (given[p] >= shares[p]) {
+      if (state[p].given >= shares[p]) {
         continue;
       }
-      credit[p] += static_cast<double>(shares[p]);
-      if (credit[p] > best_deficit) {
-        best_deficit = credit[p];
+      state[p].credit += static_cast<double>(shares[p]);
+      if (state[p].credit > best_deficit) {
+        best_deficit = state[p].credit;
         best = static_cast<int>(p);
       }
     }
     if (best < 0) {
       break;
     }
-    credit[best] -= static_cast<double>(nblocks);
+    state[best].credit -= static_cast<double>(nblocks);
     plan.per_pair[best].push_back(b);
-    ++given[best];
+    ++state[best].given;
   }
   return plan;
 }

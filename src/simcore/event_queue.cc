@@ -1,6 +1,6 @@
 #include "src/simcore/event_queue.h"
 
-#include <bit>
+#include <algorithm>
 #include <utility>
 
 namespace fst {
@@ -27,7 +27,7 @@ uint32_t EventQueue::AllocSlot() {
 void EventQueue::FreeSlot(uint32_t index) {
   Slot& s = slots_[index];
   cbs_[index] = Callback();
-  s.where = Where::kFree;
+  s.live = false;
   // Generation 0 is reserved so a forged EventId{small} can never validate.
   if (++s.gen == 0) {
     s.gen = 1;
@@ -39,47 +39,12 @@ void EventQueue::FreeSlot(uint32_t index) {
 EventId EventQueue::Push(SimTime when, Callback cb) {
   const uint32_t index = AllocSlot();
   cbs_[index] = std::move(cb);
-  const uint64_t seq = next_seq_++;
-  PlaceRef(Ref{when, seq, index});
-  ++live_;
-  return EventId{(uint64_t{slots_[index].gen} << 32) | (index + 1)};
-}
-
-void EventQueue::PlaceRef(const Ref& ref) {
-  const int64_t w = ref.when.nanos();
-  // Entries at or before the wheel's current window go straight to the
-  // heap: their bucket may already have drained. Anything beyond the top
-  // level's horizon overflows to the heap as well. Either placement pops
-  // in identical order — the wheel only exists to keep the heap small.
-  if (w >= wheel_base_ + kGranularity) {
-    for (int level = 0; level < kWheelLevels; ++level) {
-      const int shift = LevelShift(level);
-      if ((w >> shift) - (wheel_base_ >> shift) < kSlots) {
-        const int bucket = static_cast<int>((w >> shift) & (kSlots - 1));
-        auto& vec = wheel_[level][bucket];
-        Slot& s = slots_[ref.slot];
-        s.where = Where::kWheel;
-        s.level = static_cast<uint8_t>(level);
-        s.bucket = static_cast<uint8_t>(bucket);
-        s.pos = static_cast<uint32_t>(vec.size());
-        vec.push_back(ref);
-        occupied_[level] |= uint64_t{1} << bucket;
-        if (w < wheel_min_hint_) {
-          wheel_min_hint_ = w;
-        }
-        return;
-      }
-    }
-  }
-  HeapPush(ref);
-}
-
-void EventQueue::HeapPush(const Ref& ref) {
-  Slot& s = slots_[ref.slot];
-  s.where = Where::kHeap;
+  Slot& s = slots_[index];
+  s.live = true;
   s.pos = static_cast<uint32_t>(heap_.size());
-  heap_.push_back(ref);
+  heap_.push_back(Ref{when, next_seq_++, index});
   HeapSiftUp(heap_.size() - 1);
+  return EventId{(uint64_t{s.gen} << 32) | (index + 1)};
 }
 
 void EventQueue::HeapSiftUp(size_t i) {
@@ -140,224 +105,36 @@ void EventQueue::HeapRemoveAt(size_t i) {
 }
 
 bool EventQueue::Cancel(EventId id) {
-  if (!id.IsValid()) {
-    return false;
-  }
   const uint64_t raw_index = (id.value & kSlotMask);
   if (raw_index == 0 || raw_index > slots_.size()) {
     return false;
   }
   const uint32_t index = static_cast<uint32_t>(raw_index - 1);
   Slot& s = slots_[index];
-  if (s.where == Where::kFree || s.gen != static_cast<uint32_t>(id.value >> 32)) {
+  if (!s.live || s.gen != static_cast<uint32_t>(id.value >> 32)) {
     return false;
   }
-  if (s.where == Where::kHeap) {
-    HeapRemoveAt(s.pos);
-  } else if (s.where == Where::kDue) {
-    // Tombstone in place: the ring must stay sorted, so the entry is
-    // marked dead and skipped at pop time instead of being compacted.
-    due_[s.pos].slot = kNoFreeSlot;
-  } else {
-    auto& vec = wheel_[s.level][s.bucket];
-    const uint32_t pos = s.pos;
-    if (pos + 1 != vec.size()) {
-      vec[pos] = vec.back();
-      slots_[vec[pos].slot].pos = pos;
-    }
-    vec.pop_back();
-    if (vec.empty()) {
-      occupied_[s.level] &= ~(uint64_t{1} << s.bucket);
-    }
-  }
+  HeapRemoveAt(s.pos);
   FreeSlot(index);
-  --live_;
   return true;
-}
-
-bool EventQueue::FindWheelCandidate(Candidate* out) const {
-  bool found = false;
-  for (int level = 0; level < kWheelLevels; ++level) {
-    const uint64_t occ = occupied_[level];
-    if (occ == 0) {
-      continue;
-    }
-    const int shift = LevelShift(level);
-    const int cursor = static_cast<int>((wheel_base_ >> shift) & (kSlots - 1));
-    const int dist = std::countr_zero(std::rotr(occ, cursor));
-    const int bucket = (cursor + dist) & (kSlots - 1);
-    const int64_t range_start = ((wheel_base_ >> shift) + dist) << shift;
-    const int64_t start = range_start > wheel_base_ ? range_start : wheel_base_;
-    // `<=` so a tie picks the higher (wider) level: its bucket window
-    // contains the lower level's and may hold earlier entries, so it must
-    // redistribute first for (time, seq) order to hold.
-    if (!found || start <= out->start) {
-      found = true;
-      out->level = level;
-      out->bucket = bucket;
-      out->start = start;
-    }
-  }
-  return found;
-}
-
-void EventQueue::DrainBucket(const Candidate& c) {
-  auto& vec = wheel_[c.level][c.bucket];
-  occupied_[c.level] &= ~(uint64_t{1} << c.bucket);
-  if (c.level == 0) {
-    // The window is due: no live wheel entry precedes its end (earlier
-    // level-0 buckets are empty and wider levels start no earlier than
-    // the window end, per the candidate tie-break), so the base can hop
-    // past it and the entries move straight to the due ring. Windows
-    // drain in increasing order, so sorting each window by (time, seq)
-    // keeps the whole ring in final pop order.
-    wheel_base_ = c.start + kGranularity;
-    for (size_t i = 1; i < vec.size(); ++i) {  // tiny n: insertion sort
-      Ref moving = vec[i];
-      size_t j = i;
-      while (j > 0 && Before(moving, vec[j - 1])) {
-        vec[j] = vec[j - 1];
-        --j;
-      }
-      vec[j] = moving;
-    }
-    for (const Ref& ref : vec) {
-      Slot& s = slots_[ref.slot];
-      s.where = Where::kDue;
-      s.pos = static_cast<uint32_t>(due_.size());
-      due_.push_back(ref);
-    }
-  } else {
-    // Redistribute a wide bucket into finer levels. Advancing the base to
-    // the bucket's effective start is safe — no live wheel entry precedes
-    // it — and guarantees every entry lands in a strictly lower level.
-    wheel_base_ = c.start;
-    for (size_t i = 0; i < vec.size(); ++i) {
-      PlaceRef(vec[i]);
-    }
-  }
-  vec.clear();
-}
-
-void EventQueue::FlushDue() {
-  // Fast paths: a live due entry precedes every wheel entry by
-  // construction, and a heap root under the watermark precedes the wheel
-  // too — either way the wheel cannot hold the next pop.
-  if (due_head_ < due_.size()) {
-    return;
-  }
-  if (!heap_.empty() && heap_[0].when.nanos() < wheel_min_hint_) {
-    return;
-  }
-  Candidate c;
-  while (FindWheelCandidate(&c)) {
-    if (due_head_ < due_.size() ||
-        (!heap_.empty() && heap_[0].when.nanos() < c.start)) {
-      // Every wheel entry is at or after its level's candidate start, so
-      // the earliest start is a valid wheel-wide bound.
-      wheel_min_hint_ = c.start;
-      return;  // the next pop provably precedes every wheel entry
-    }
-    DrainBucket(c);
-    if (due_head_ < due_.size()) {
-      // A level-0 drain just delivered the next pops; the rescan would
-      // only rediscover that the due ring now wins. The watermark stays
-      // stale-low, which at worst costs one scan after the ring drains.
-      return;
-    }
-  }
-  wheel_min_hint_ = INT64_MAX;  // wheel drained empty
 }
 
 std::optional<EventQueue::Fired> EventQueue::Pop() {
   return PopDue(SimTime::Max());
 }
 
-void EventQueue::SkipDeadDue() {
-  while (due_head_ < due_.size() && due_[due_head_].slot == kNoFreeSlot) {
-    ++due_head_;
-  }
-  if (due_head_ == due_.size() && due_head_ != 0) {
-    due_.clear();
-    due_head_ = 0;
-  }
-}
-
 std::optional<EventQueue::Fired> EventQueue::PopDue(SimTime deadline) {
-  if (live_ == 0) {
+  if (heap_.empty() || heap_.front().when > deadline) {
     return std::nullopt;
   }
-  SkipDeadDue();
-  if (due_head_ < due_.size()) {
-    // Start the likely winner's callback payload toward the core while the
-    // ordering checks run; purely speculative.
-    __builtin_prefetch(&cbs_[due_[due_head_].slot]);
-  } else if (!heap_.empty()) {
-    __builtin_prefetch(&cbs_[heap_[0].slot]);
-  }
-  FlushDue();
-  SkipDeadDue();
-  // Merge front: the due ring precedes the whole wheel, so the next event
-  // is the (time, seq) smaller of due-front and heap-root.
-  bool from_due = due_head_ < due_.size();
-  const Ref* root = from_due ? &due_[due_head_] : nullptr;
-  if (!heap_.empty() && (root == nullptr || Before(heap_[0], *root))) {
-    root = &heap_[0];
-    from_due = false;
-  }
-  if (root->when > deadline) {
-    return std::nullopt;
-  }
-  const uint32_t slot = root->slot;
-  Fired fired{root->when, root->seq, std::move(cbs_[slot])};
-  if (from_due) {
-    ++due_head_;
-    if (due_head_ == due_.size()) {
-      due_.clear();
-      due_head_ = 0;
-    }
-  } else {
-    HeapRemoveAt(0);
-  }
-  FreeSlot(slot);
-  --live_;
+  const Ref root = heap_.front();
+  // Start the callback's line toward the core, then re-heapify while it
+  // is in flight; purely speculative.
+  __builtin_prefetch(&cbs_[root.slot]);
+  HeapRemoveAt(0);
+  Fired fired{root.when, root.seq, std::move(cbs_[root.slot])};
+  FreeSlot(root.slot);
   return fired;
-}
-
-std::optional<SimTime> EventQueue::PeekTime() const {
-  if (live_ == 0) {
-    return std::nullopt;
-  }
-  std::optional<SimTime> best;
-  for (size_t i = due_head_; i < due_.size(); ++i) {
-    if (due_[i].slot != kNoFreeSlot) {
-      best = due_[i].when;  // ring is sorted: first live entry is its min
-      break;
-    }
-  }
-  if (!heap_.empty() && (!best.has_value() || heap_.front().when < *best)) {
-    best = heap_.front().when;
-  }
-  // Within one level the first occupied bucket holds that level's minimum
-  // (bucket windows partition time in scan order), so one bucket scan per
-  // level suffices — and bucket scans leave the structures untouched,
-  // keeping Peek genuinely const.
-  for (int level = 0; level < kWheelLevels; ++level) {
-    const uint64_t occ = occupied_[level];
-    if (occ == 0) {
-      continue;
-    }
-    const int shift = LevelShift(level);
-    const int cursor = static_cast<int>((wheel_base_ >> shift) & (kSlots - 1));
-    const int dist = std::countr_zero(std::rotr(occ, cursor));
-    const int bucket = (cursor + dist) & (kSlots - 1);
-    for (const Ref& ref : wheel_[level][bucket]) {
-      if (!best.has_value() || ref.when < *best) {
-        best = ref.when;
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace fst

@@ -1,27 +1,25 @@
 // Pending-event set for the discrete-event simulator.
 //
 // The queue serves every Simulator::Schedule/Cancel/Pop in the tree, so it
-// is the global hot path of every experiment. Three structures cooperate:
+// is the global hot path of every experiment. Two structures cooperate:
 //
 //   * a slot slab: each live event owns a slot holding its callback and its
-//     current location. EventId packs (slot index, generation); the
+//     heap position. EventId packs (slot index, generation); the
 //     generation is bumped on every free, so a handle from a fired or
 //     cancelled event can never alias a later event reusing the slot.
-//     Cancellation resolves the slot in O(1) and removes the entry directly
-//     — O(1) from a wheel bucket, O(log n) from the heap — instead of the
-//     old O(n) scan + lazy skip-on-pop;
+//     Cancellation resolves the slot in O(1) and removes the entry from
+//     the heap directly in O(log n), instead of the old O(n) scan + lazy
+//     skip-on-pop;
 //
 //   * a 4-ary min-heap on (time, seq), index-tracked through the slab. The
 //     sequence number makes same-timestamp ordering deterministic (FIFO in
-//     scheduling order), which is essential for reproducible runs;
+//     scheduling order), which is essential for reproducible runs.
 //
-//   * a hierarchical timer wheel (4 levels x 64 slots, ~1 us granularity,
-//     ~17 s horizon) absorbing the dense short-delay traffic that disk
-//     service, hedging, and SCSI timeouts generate. Buckets drain into the
-//     heap when their time window comes due, so the heap stays small and
-//     final ordering is always decided by the (time, seq) comparator —
-//     events beyond the horizon overflow to the heap directly, and any
-//     heap/wheel placement yields the identical pop order.
+// The heap alone is enough: the workloads keep few events live at each
+// pop (under 8 on the RAID sweep, 8-31 on the resilience grid, 32-127 on
+// the 1M-client cell), where a pop costs a handful of comparisons, and
+// its cost grows only logarithmically with a burst of same-window events
+// (DESIGN.md, "Event core & performance methodology").
 #ifndef SRC_SIMCORE_EVENT_QUEUE_H_
 #define SRC_SIMCORE_EVENT_QUEUE_H_
 
@@ -52,7 +50,7 @@ class EventQueue {
   // Inserts an event; returns a handle usable with Cancel().
   EventId Push(SimTime when, Callback cb);
 
-  // Cancels a pending event, removing it directly from its structure.
+  // Cancels a pending event, removing it directly from the heap.
   // Returns false if the event already fired, was already cancelled, or
   // the id is invalid.
   bool Cancel(EventId id);
@@ -70,51 +68,37 @@ class EventQueue {
   std::optional<Fired> PopDue(SimTime deadline);
 
   // Timestamp of the earliest live event without removing it.
-  std::optional<SimTime> PeekTime() const;
-
-  bool Empty() const { return live_ == 0; }
-
-  // Exact number of live (scheduled, not yet fired or cancelled) events.
-  size_t live_size() const { return live_; }
-
- private:
-  static constexpr int kWheelLevels = 4;
-  static constexpr int kSlotBits = 6;  // 64 buckets per level
-  static constexpr int kSlots = 1 << kSlotBits;
-  static constexpr int kGranularityShift = 12;  // level-0 bucket ~4.1 us
-  static constexpr int64_t kGranularity = int64_t{1} << kGranularityShift;
-  static constexpr uint32_t kNoFreeSlot = 0xffffffffu;
-
-  static constexpr int LevelShift(int level) {
-    return kGranularityShift + kSlotBits * level;
+  std::optional<SimTime> PeekTime() const {
+    if (heap_.empty()) {
+      return std::nullopt;
+    }
+    return heap_.front().when;
   }
 
-  // A queue entry as stored in the heap or a wheel bucket. The callback
-  // stays put in the slab, so moving refs during sifts is a 24-byte copy.
+  bool Empty() const { return heap_.empty(); }
+
+  // Exact number of live (scheduled, not yet fired or cancelled) events.
+  size_t live_size() const { return heap_.size(); }
+
+ private:
+  static constexpr uint32_t kNoFreeSlot = 0xffffffffu;
+
+  // A heap entry. The callback stays put in the slab, so moving refs
+  // during sifts is a 24-byte copy.
   struct Ref {
     SimTime when;
     uint64_t seq = 0;
     uint32_t slot = 0;
   };
 
-  enum class Where : uint8_t { kFree = 0, kHeap, kWheel, kDue };
-
-  // Slot metadata and callbacks live in parallel slabs: heap sifts, wheel
-  // placement, and cancellation touch only this 12-byte record (5 per
-  // cache line), while the 96-byte callback line is pulled exactly twice
-  // per event — once to store it, once to fire it.
+  // Slot metadata and callbacks live in parallel slabs: heap sifts and
+  // cancellation touch only this 12-byte record (5 per cache line), while
+  // the 96-byte callback line is pulled exactly twice per event — once to
+  // store it, once to fire it.
   struct Slot {
     uint32_t gen = 1;
-    Where where = Where::kFree;
-    uint8_t level = 0;
-    uint8_t bucket = 0;
-    uint32_t pos = 0;  // index into heap_/bucket; free-list link when free
-  };
-
-  struct Candidate {
-    int level = 0;
-    int bucket = 0;
-    int64_t start = 0;  // effective start time of the bucket's window
+    uint32_t pos = 0;  // index into heap_ when live; free-list link when free
+    bool live = false;
   };
 
   static bool Before(const Ref& a, const Ref& b) {
@@ -127,51 +111,15 @@ class EventQueue {
   uint32_t AllocSlot();
   void FreeSlot(uint32_t index);
 
-  // Advances past cancelled (tombstoned) due-ring entries and reclaims
-  // the ring's storage once fully consumed.
-  void SkipDeadDue();
-
-  void PlaceRef(const Ref& ref);
-  void HeapPush(const Ref& ref);
   void HeapSiftUp(size_t i);
   void HeapSiftDown(size_t i);
   void HeapRemoveAt(size_t i);
-
-  // Earliest not-yet-due wheel bucket across levels (ties prefer the
-  // higher level, whose wide bucket may contain earlier entries).
-  bool FindWheelCandidate(Candidate* out) const;
-  // Moves a due bucket's entries into the heap (level 0) or redistributes
-  // them into finer levels (higher levels), advancing wheel_base_.
-  void DrainBucket(const Candidate& c);
-  // Drains wheel buckets until the heap root is the global minimum.
-  void FlushDue();
 
   std::vector<Slot> slots_;
   std::vector<Callback> cbs_;  // parallel to slots_
   uint32_t free_head_ = kNoFreeSlot;
   std::vector<Ref> heap_;
-  // Drained level-0 windows, already in final (time, seq) order: window
-  // drains happen in increasing window order and each window is sorted,
-  // so a due entry never reorders against another. Every due entry also
-  // precedes every wheel entry (its window ended before wheel_base_
-  // advanced past it), so pops only merge due-front against heap-root —
-  // no heap round-trip, no sift traffic for the dense short-delay flow.
-  // Cancelled entries are tombstoned (slot = kNoFreeSlot) and skipped.
-  std::vector<Ref> due_;
-  size_t due_head_ = 0;
-  std::vector<Ref> wheel_[kWheelLevels][kSlots];
-  uint64_t occupied_[kWheelLevels] = {};
-  // Lower bound (multiple of kGranularity) on the time of any wheel entry;
-  // all earlier windows have drained into the heap.
-  int64_t wheel_base_ = 0;
-  // Tighter lower bound on the timestamp of every live wheel entry
-  // (INT64_MAX when the wheel is empty): lets FlushDue() skip the
-  // per-level candidate scan whenever the heap root provably precedes
-  // the whole wheel. Only ever conservative — a stale-low hint costs one
-  // redundant scan, never a wrong pop order.
-  int64_t wheel_min_hint_ = INT64_MAX;
   uint64_t next_seq_ = 0;
-  size_t live_ = 0;
 };
 
 }  // namespace fst

@@ -81,7 +81,7 @@ class ZipfGenerator {
   int64_t Sample(Rng& rng) const { return SampleAt(rng.UniformDouble()); }
 
   // Inverse CDF at a caller-supplied uniform draw u in [0, 1): the exact
-  // mapping Sample() applies after drawing u. Blockwise consumers draw
+  // mapping Sample() applies after drawing u. Batched consumers draw
   // their uniforms in bulk and feed them through here, which keeps the
   // u -> rank mapping (and therefore every keyed workload) bit-identical
   // to the scalar path.

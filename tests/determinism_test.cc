@@ -66,7 +66,8 @@ uint64_t Raid10Digest() {
 
 // Seeded hedged reads against a slow primary and a fast secondary.
 // Every operation arms a hedge timer and most cancel it (fast completion)
-// or fail over — the cancel-heavy path the timer wheel serves.
+// or fail over — the cancel-heavy path, where a cancelled timer must
+// leave the (time, seq) order of every survivor untouched.
 uint64_t HedgeDigest() {
   Simulator sim(99);
   Disk primary(sim, "primary", SmallDisk(10.0));
@@ -121,9 +122,9 @@ uint64_t OpenLoopDigest() {
 }
 
 // Golden digests recorded from the pre-overhaul event queue (lazy-cancel
-// binary heap, std::function callbacks) on the seed tree. The rebuilt
-// event core (index-tracked d-ary heap + timer wheel + InlineCallback)
-// must reproduce them exactly.
+// binary heap, std::function callbacks) on the seed tree. Any event core
+// (today: index-tracked 4-ary heap over a slot slab + InlineCallback) must
+// reproduce them exactly: fire order is fixed by (time, seq) alone.
 constexpr uint64_t kGoldenRaid10 = 0x954949968ebab50dull;
 constexpr uint64_t kGoldenHedge = 0x7596cc08ae106f4dull;
 constexpr uint64_t kGoldenOpenLoop = 0xdf713cd03571f972ull;

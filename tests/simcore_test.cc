@@ -11,7 +11,6 @@
 #include "src/simcore/inline_callback.h"
 #include "src/simcore/metrics.h"
 #include "src/simcore/rng.h"
-#include "src/simcore/rng_block.h"
 #include "src/simcore/simulator.h"
 #include "src/simcore/stats.h"
 #include "src/simcore/time.h"
@@ -284,8 +283,8 @@ TEST(EventQueueTest, StaleHandleAfterFireCannotCancelReusedSlot) {
 }
 
 TEST(EventQueueTest, FarFutureOverflowOrdering) {
-  // Events beyond the timer wheel's ~17 s horizon overflow to the heap;
-  // they must still interleave with near events in strict time order.
+  // Events tens of seconds out, pushed before and after a near one, must
+  // still interleave with it in strict time order.
   EventQueue q;
   std::vector<int> order;
   q.Push(SimTime(int64_t{25} * 1'000'000'000), [&]() { order.push_back(3); });
@@ -299,17 +298,17 @@ TEST(EventQueueTest, FarFutureOverflowOrdering) {
 }
 
 TEST(EventQueueTest, SameTimeAcrossStructuresKeepsFifo) {
-  // A lands at T while T is beyond the horizon (heap); after time
-  // advances, B lands at the same T inside the wheel. FIFO on the
-  // sequence number must hold across the two structures.
+  // A is pushed for T while T is 20 s away; after a pop advances time to
+  // 5 s, B is pushed for the same T. Same-time events fire FIFO in push
+  // order, however far ahead each was scheduled.
   EventQueue q;
   const SimTime t(int64_t{20} * 1'000'000'000);
   std::vector<char> order;
-  q.Push(t, [&]() { order.push_back('a'); });      // overflow -> heap
+  q.Push(t, [&]() { order.push_back('a'); });      // 20 s ahead
   q.Push(SimTime(int64_t{5} * 1'000'000'000), [&]() { order.push_back('f'); });
-  auto filler = q.Pop();  // drains the wheel up to ~5 s
+  auto filler = q.Pop();  // time advances to 5 s
   filler->cb();
-  q.Push(t, [&]() { order.push_back('b'); });      // now within horizon
+  q.Push(t, [&]() { order.push_back('b'); });      // now 15 s ahead
   while (auto e = q.Pop()) {
     e->cb();
   }
@@ -345,9 +344,11 @@ TEST(EventQueueTest, LiveSizeExactUnderChurn) {
 }
 
 // Differential test: random push/cancel/pop against a reference model
-// (ordered map keyed on (time, seq)). Exercises wheel/heap placement,
-// bucket drains, redistribution, cross-structure ties, and direct
-// removal from every structure.
+// (ordered map keyed on (time, seq)). Exercises same-time ties, delays from
+// zero to a minute, bursts of pushes inside one 4 us span (the hedge
+// pattern), direct removal by Cancel, and pops through both Pop() and
+// PopDue(deadline). PeekTime() must name the reference minimum after
+// every step.
 TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
   EventQueue q;
   std::map<std::pair<int64_t, uint64_t>, int> reference;  // -> tag
@@ -357,61 +358,86 @@ TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
   int tag = 0;
   int64_t now = 0;
   int fired_tag = -1;
+  auto push = [&](int64_t when) {
+    const int t = tag++;
+    const EventId id = q.Push(SimTime(when), [&fired_tag, t]() {
+      fired_tag = t;
+    });
+    reference.emplace(std::make_pair(when, seq), t);
+    live.push_back({id, {when, seq}});
+    ++seq;
+  };
+  // Fires a popped event and checks it was the reference minimum.
+  auto expect_min = [&](EventQueue::Fired& fired, int step) {
+    ASSERT_FALSE(reference.empty()) << "step " << step;
+    fired_tag = -1;
+    fired.cb();
+    const auto expect = reference.begin();
+    EXPECT_EQ(fired.when.nanos(), expect->first.first) << "step " << step;
+    EXPECT_EQ(fired.seq, expect->first.second) << "step " << step;
+    EXPECT_EQ(fired_tag, expect->second) << "step " << step;
+    now = std::max(now, fired.when.nanos());
+    reference.erase(expect);
+  };
   for (int step = 0; step < 20000; ++step) {
     const double u = rng.UniformDouble();
-    if (u < 0.60 || reference.empty()) {
+    if (u < 0.002) {
+      // Burst: 64-512 pushes inside one 4 us span.
+      const int64_t start = now + rng.UniformInt(0, 2'000'000);
+      const int64_t count = rng.UniformInt(64, 512);
+      for (int64_t i = 0; i < count; ++i) {
+        push(start + rng.UniformInt(0, 4'000));
+      }
+    } else if (u < 0.60 || reference.empty()) {
       int64_t delay = 0;
       const double kind = rng.UniformDouble();
       if (kind < 0.15) {
         delay = 0;  // immediate (ties!)
       } else if (kind < 0.55) {
-        delay = rng.UniformInt(1, 2'000'000);  // short: wheel L0/L1
+        delay = rng.UniformInt(1, 2'000'000);  // short: up to 2 ms
       } else if (kind < 0.90) {
         delay = rng.UniformInt(2'000'000, 2'000'000'000);  // medium
       } else {
-        delay = rng.UniformInt(17'000'000'000, 60'000'000'000);  // overflow
+        delay = rng.UniformInt(17'000'000'000, 60'000'000'000);  // far
       }
-      const int64_t when = now + delay;
-      const int t = tag++;
-      const EventId id = q.Push(SimTime(when), [&fired_tag, t]() {
-        fired_tag = t;
-      });
-      reference.emplace(std::make_pair(when, seq), t);
-      live.push_back({id, {when, seq}});
-      ++seq;
+      push(now + delay);
     } else if (u < 0.80 && !live.empty()) {
       const size_t pick =
           static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
       const auto [id, key] = live[pick];
       const bool present = reference.erase(key) > 0;
       EXPECT_EQ(q.Cancel(id), present) << "step " << step;
-      live.erase(live.begin() + static_cast<int64_t>(pick));
-    } else {
+      live[pick] = live.back();
+      live.pop_back();
+    } else if (u < 0.90) {
       auto fired = q.Pop();
-      if (reference.empty()) {
-        EXPECT_FALSE(fired.has_value());
+      ASSERT_TRUE(fired.has_value()) << "step " << step;
+      expect_min(*fired, step);
+    } else {
+      // A deadline within 1.5 us either side of the minimum, landing on
+      // it exactly one time in seven: nullopt iff the minimum is later.
+      const int64_t min_when = reference.begin()->first.first;
+      const int64_t deadline = min_when + rng.UniformInt(-3, 3) * 500;
+      auto fired = q.PopDue(SimTime(deadline));
+      if (min_when > deadline) {
+        EXPECT_FALSE(fired.has_value()) << "step " << step;
       } else {
         ASSERT_TRUE(fired.has_value()) << "step " << step;
-        fired_tag = -1;
-        fired->cb();
-        const auto expect = reference.begin();
-        EXPECT_EQ(fired->when.nanos(), expect->first.first) << "step " << step;
-        EXPECT_EQ(fired_tag, expect->second) << "step " << step;
-        now = std::max(now, fired->when.nanos());
-        reference.erase(expect);
+        expect_min(*fired, step);
       }
     }
     ASSERT_EQ(q.live_size(), reference.size()) << "step " << step;
+    const std::optional<SimTime> peek = q.PeekTime();
+    if (reference.empty()) {
+      EXPECT_FALSE(peek.has_value()) << "step " << step;
+    } else {
+      ASSERT_TRUE(peek.has_value()) << "step " << step;
+      EXPECT_EQ(peek->nanos(), reference.begin()->first.first) << "step " << step;
+    }
   }
   // Drain both; order must match exactly.
   while (auto fired = q.Pop()) {
-    ASSERT_FALSE(reference.empty());
-    fired_tag = -1;
-    fired->cb();
-    const auto expect = reference.begin();
-    EXPECT_EQ(fired->when.nanos(), expect->first.first);
-    EXPECT_EQ(fired_tag, expect->second);
-    reference.erase(expect);
+    expect_min(*fired, -1);
   }
   EXPECT_TRUE(reference.empty());
   EXPECT_TRUE(q.Empty());
@@ -963,57 +989,6 @@ TEST(HistogramTest, P999TracksExtremeTail) {
   EXPECT_GT(h.P999(), 0.9e9);
 }
 
-// ---------------------------------------------------------------- rng_block
-
-TEST(RngBlockTest, MatchesScalarRngAcrossInterleavedDrawKinds) {
-  Rng scalar(424242);
-  RngBlock block(Rng(424242));
-  Rng pick(7);
-  for (int i = 0; i < 5000; ++i) {
-    switch (pick.UniformInt(0, 4)) {
-      case 0:
-        ASSERT_EQ(block.NextU64(), scalar.NextU64()) << i;
-        break;
-      case 1:
-        ASSERT_EQ(block.UniformDouble(), scalar.UniformDouble()) << i;
-        break;
-      case 2:
-        ASSERT_EQ(block.UniformInt(-3, 1000), scalar.UniformInt(-3, 1000))
-            << i;
-        break;
-      case 3:
-        ASSERT_EQ(block.Bernoulli(0.37), scalar.Bernoulli(0.37)) << i;
-        break;
-      default:
-        ASSERT_EQ(block.Exponential(0.02), scalar.Exponential(0.02)) << i;
-        break;
-    }
-  }
-}
-
-TEST(RngBlockTest, FillUniformMatchesSequentialDraws) {
-  Rng scalar(99);
-  RngBlock block(Rng(99));
-  // Sizes straddle the refill boundary (kWords raw u64s per refill).
-  for (const size_t n : {1ul, 7ul, 255ul, 256ul, 257ul, 1000ul}) {
-    std::vector<double> bulk(n);
-    block.FillUniform(bulk.data(), n);
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bulk[i], scalar.UniformDouble()) << n << ":" << i;
-    }
-  }
-}
-
-TEST(RngBlockTest, FillExponentialMatchesSequentialDraws) {
-  Rng scalar(123);
-  RngBlock block(Rng(123));
-  std::vector<double> bulk(700);
-  block.FillExponential(2.5, bulk.data(), bulk.size());
-  for (size_t i = 0; i < bulk.size(); ++i) {
-    ASSERT_EQ(bulk[i], scalar.Exponential(2.5)) << i;
-  }
-}
-
 // ---------------------------------------------------------------- arena
 
 TEST(TickArenaTest, AllocationsAreAlignedAndDisjoint) {
@@ -1059,15 +1034,15 @@ TEST(TickArenaTest, OversizedRequestGetsItsOwnChunk) {
   EXPECT_GE(arena.high_water(), 8000u);
 }
 
-// ------------------------------------------------- event queue due ring
+// ------------------------------------------ event queue mid-run ordering
 
 TEST(EventQueueDueRingTest, CancelInDueRingIsSkippedWithoutReordering) {
   Simulator sim;
   std::vector<int> fired;
-  // Three events inside one level-0 wheel window, plus one later event.
-  // Popping the first drains the whole window into the due ring; the
-  // middle entry is then cancelled *while in the ring* and must be
-  // skipped without disturbing the order of its neighbors.
+  // Three events at one instant, plus one later event. After the first
+  // fires, the middle one is cancelled while its same-time neighbour is
+  // still pending: it must never fire, and the survivors keep their
+  // scheduling order.
   sim.Schedule(Duration::Micros(50), [&] { fired.push_back(1); });
   EventId doomed =
       sim.Schedule(Duration::Micros(50), [&] { fired.push_back(2); });
@@ -1086,8 +1061,8 @@ TEST(EventQueueDueRingTest, ZeroDelayPushBeatsDueEntryAtLaterTime) {
   std::vector<int> fired;
   sim.Schedule(Duration::Micros(20), [&] {
     fired.push_back(1);
-    // Scheduled mid-run at now+0: must fire before the 25 us event even
-    // though that one is already staged in the due ring.
+    // Scheduled mid-run at now+0: must fire before the 25 us event that
+    // was scheduled first, because time orders before scheduling order.
     sim.Schedule(Duration::Zero(), [&] { fired.push_back(2); });
   });
   sim.Schedule(Duration::Micros(25), [&] { fired.push_back(3); });
