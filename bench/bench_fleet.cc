@@ -28,7 +28,6 @@
 #include "src/cluster/fleet/fleet.h"
 #include "src/cluster/fleet/op_table.h"
 #include "src/cluster/selector.h"
-#include "src/simcore/arena.h"
 #include "src/simcore/rng.h"
 
 namespace fst {
@@ -430,13 +429,12 @@ BENCHMARK(BM_FleetManyClients)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// hot_path: the per-op costs the epoch-cache / blockwise-RNG / arena PR
-// removes, each against the path it replaced
+// hot_path: per-op routing and draw costs in isolation
 // ---------------------------------------------------------------------------
 
-// Replica lookup + ranking, uncached: what StartReadAttempt did before
-// the segment cache — a fresh ring walk and a full weight-filter pass
-// per attempt.
+// Replica lookup + ranking as every KvService read attempt runs it: a
+// ring walk into scratch, then a queue-weighted RankInto (filter pass,
+// depth divide, one tie-break draw per emitted position).
 void BM_HotPathRankUncached(benchmark::State& state) {
   constexpr int kNodes = 64;
   ShardMap shard(kNodes, {64, 3});
@@ -454,39 +452,6 @@ void BM_HotPathRankUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_HotPathRankUncached);
 
-// The epoch-cached attempt path KvService now runs: segment lookup into
-// a (segment, epoch)-stamped replica cache plus the selector's cached
-// rank prefix. Ring walk and filter pass amortize across every op
-// between rebalances/weight changes; per-op work is the depth divide +
-// tie-break draws (identical draw stream to the uncached path).
-void BM_HotPathRankCached(benchmark::State& state) {
-  constexpr int kNodes = 64;
-  ShardMap shard(kNodes, {64, 3});
-  ReplicaSelector sel(RouteMode::kQueueWeighted, kNodes, Rng(9));
-  const ReplicaSelector::DepthFn depth = [](int node) { return node & 7; };
-  struct SegCache {
-    uint64_t map_epoch = 0;
-    std::vector<int> replicas;
-    ReplicaSelector::RankCache rank;
-  };
-  std::vector<SegCache> cache(shard.segments());
-  std::vector<int> out;
-  uint64_t key = 0;
-  for (auto _ : state) {
-    const size_t seg = shard.SegmentOf(key++);
-    SegCache& sc = cache[seg];
-    if (sc.map_epoch != shard.epoch()) {
-      shard.ReplicasForSegment(seg, sc.replicas);
-      sc.map_epoch = shard.epoch();
-      sc.rank.epoch = 0;
-    }
-    sel.RankCachedInto(sc.rank, sc.replicas, depth, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HotPathRankCached);
-
 // Uniform draws, scalar Rng: one xoshiro step + float convert per call.
 void BM_HotPathRngScalarDraws(benchmark::State& state) {
   Rng rng(7);
@@ -500,37 +465,6 @@ void BM_HotPathRngScalarDraws(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * buf.size());
 }
 BENCHMARK(BM_HotPathRngScalarDraws);
-
-// One sequencer tick's transient scratch (arrival window SoA: three
-// parallel arrays), allocated fresh from the heap each tick.
-void BM_HotPathScratchHeapTick(benchmark::State& state) {
-  constexpr size_t kWindow = 512;
-  for (auto _ : state) {
-    std::vector<double> gaps(kWindow);
-    std::vector<uint64_t> keys(kWindow);
-    std::vector<uint8_t> is_read(kWindow);
-    benchmark::DoNotOptimize(gaps.data());
-    benchmark::DoNotOptimize(keys.data());
-    benchmark::DoNotOptimize(is_read.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HotPathScratchHeapTick);
-
-// The same scratch from the per-tick arena: Reset() is a cursor rewind,
-// each AllocateArray a bump — no allocator round-trips in steady state.
-void BM_HotPathScratchArenaTick(benchmark::State& state) {
-  constexpr size_t kWindow = 512;
-  TickArena arena;
-  for (auto _ : state) {
-    arena.Reset();
-    benchmark::DoNotOptimize(arena.AllocateArray<double>(kWindow));
-    benchmark::DoNotOptimize(arena.AllocateArray<uint64_t>(kWindow));
-    benchmark::DoNotOptimize(arena.AllocateArray<uint8_t>(kWindow));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HotPathScratchArenaTick);
 
 }  // namespace
 }  // namespace fst

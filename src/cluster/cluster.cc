@@ -92,7 +92,6 @@ KvService::KvService(Simulator& sim, ClusterParams params,
     channels_.push_back(registry_.Resolve(nodes_[static_cast<size_t>(i)]->name()));
   }
   depth_fn_ = [this](int n) { return admission_.outstanding(n); };
-  seg_cache_.resize(std::max<size_t>(1, shard_map_.segments()));
   if (params_.live.enabled) {
     live_ = std::make_unique<LivePlane>(params_.nodes, params_.live);
   }
@@ -298,19 +297,6 @@ void KvService::AttemptFailed(OpTable::Id id, bool admitted_this_attempt) {
       StartWriteAttempt(id);
     }
   });
-}
-
-KvService::SegmentCache& KvService::SegmentFor(uint64_t key) {
-  const size_t seg = shard_map_.SegmentOf(key);
-  SegmentCache& sc = seg_cache_[seg];
-  if (sc.map_epoch != shard_map_.epoch()) {
-    shard_map_.ReplicasForSegment(seg, sc.replicas);
-    sc.map_epoch = shard_map_.epoch();
-    // Replica membership may have changed, so the rank prefix (a filter
-    // over exactly this set) must rebuild even if weights did not move.
-    sc.rank.epoch = 0;
-  }
-  return sc;
 }
 
 bool KvService::IsMiss(int node, uint64_t key) const {
@@ -547,8 +533,8 @@ void KvService::StartReadAttempt(OpTable::Id id) {
   ++ops_.attempts[slot];
   const SimTime attempt_start = sim_.Now();
   const uint64_t key = ops_.key[slot];
-  SegmentCache& sc = SegmentFor(key);
-  selector_.RankCachedInto(sc.rank, sc.replicas, depth_fn_, ranked_scratch_);
+  shard_map_.ReplicasFor(key, replicas_scratch_);
+  selector_.RankInto(replicas_scratch_, depth_fn_, ranked_scratch_);
   if (ranked_scratch_.empty()) {
     AttemptFailed(id, false);
     return;
@@ -686,9 +672,8 @@ void KvService::StartWriteAttempt(OpTable::Id id) {
   const SimTime attempt_start = sim_.Now();
   const uint64_t key = ops_.key[slot];
   const uint64_t version = ops_.version[slot];
-  // Cached segment walk; safe to hold across the loop — Dispatch only
-  // schedules events, nothing here re-enters the cache.
-  const std::vector<int>& replicas = SegmentFor(key).replicas;
+  shard_map_.ReplicasFor(key, replicas_scratch_);
+  const std::vector<int>& replicas = replicas_scratch_;
   if (replicas.empty()) {
     AttemptFailed(id, false);
     return;

@@ -382,31 +382,13 @@ class KvService {
   std::vector<TraceEvent> trace_scratch_;
 
   // Hot-path caches: per-node registry channels (skip the name hash on
-  // every observation), one reusable DepthFn, and ranking scratch buffers
-  // (never reused across a call that can re-enter ranking).
+  // every observation), one reusable DepthFn, and routing scratch buffers
+  // (never reused across a call that can re-enter routing: Dispatch only
+  // schedules events).
   std::vector<PerformanceStateRegistry::ObsChannel> channels_;
   ReplicaSelector::DepthFn depth_fn_;
-  std::vector<int> replicas_scratch_;  // RepairStep's ring walks
+  std::vector<int> replicas_scratch_;  // the key's ring walk
   std::vector<int> ranked_scratch_;
-
-  // Epoch-cached routing state, one entry per consistent-hash ring
-  // segment: the segment's replica set stamped with the ShardMap epoch
-  // it was walked at, plus the selector's cached rank prefix for that
-  // set. Exploits the key temporal asymmetry of fail-stutter serving —
-  // ownership and weights change on registry transitions (rare), ops
-  // flow between them (millions) — while the per-op tie-break draws stay
-  // in SampleScored, so routing is bit-identical to the uncached path.
-  // Memory bound: segments * (replication ints + filtered pairs), ~60 B
-  // per segment at replication 3.
-  struct SegmentCache {
-    uint64_t map_epoch = 0;  // 0 never matches a live epoch: lazy build
-    std::vector<int> replicas;
-    ReplicaSelector::RankCache rank;
-  };
-  // Returns the current-epoch cache entry for `key`'s segment,
-  // (re)walking the ring only when a rebalance happened since last use.
-  SegmentCache& SegmentFor(uint64_t key);
-  std::vector<SegmentCache> seg_cache_;
 
   int client_port_;
   int64_t reads_ = 0;

@@ -1,12 +1,43 @@
 #include "src/cluster/fleet/arrivals.h"
 
+#include <cmath>
+#include <stdexcept>
+
 namespace fst {
+
+namespace {
+
+const FleetParams& Validated(const FleetParams& base, ArrivalMode mode,
+                             const std::vector<MmppPhase>& phases) {
+  ValidateFleetParams(base);
+  if (!base.surges.empty()) {
+    throw std::invalid_argument(
+        "ArrivalGenerator does not model FleetParams.surges");
+  }
+  if (mode == ArrivalMode::kMmpp) {
+    if (phases.empty()) {
+      throw std::invalid_argument("kMmpp requires at least one phase");
+    }
+    for (const MmppPhase& ph : phases) {
+      if (!(ph.rate > 0.0) || !std::isfinite(ph.rate) ||
+          !(ph.mean_sojourn_s > 0.0)) {
+        throw std::invalid_argument(
+            "MmppPhase rate must be positive and finite, mean_sojourn_s "
+            "positive");
+      }
+    }
+  }
+  return base;
+}
+
+}  // namespace
 
 ArrivalGenerator::ArrivalGenerator(Simulator& sim, const FleetParams& base,
                                    ArrivalMode mode,
                                    std::vector<MmppPhase> phases,
                                    uint32_t num_clients)
-    : base_(base), mode_(mode), phases_(std::move(phases)),
+    : base_(Validated(base, mode, phases)), mode_(mode),
+      phases_(std::move(phases)),
       num_clients_(num_clients), arrival_rng_(sim.rng().Fork()),
       key_rng_(sim.rng().Fork()),
       // Forked last and only on demand, so anonymous generators consume
@@ -66,13 +97,8 @@ bool ArrivalGenerator::FillWindow(ArrivalBatch& batch, size_t max,
   const size_t n = batch.at.size();
   batch.key.reserve(n);
   batch.is_read.reserve(n);
-  double* u = nullptr;
-  if (arena_ != nullptr) {
-    u = arena_->AllocateArray<double>(2 * n);
-  } else {
-    u_scratch_.resize(2 * n);
-    u = u_scratch_.data();
-  }
+  u_scratch_.resize(2 * n);
+  double* u = u_scratch_.data();
   for (size_t i = 0; i < 2 * n; ++i) {
     u[i] = key_rng_.UniformDouble();
   }

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/cluster/client.h"
-#include "src/simcore/arena.h"
 #include "src/simcore/rng.h"
 #include "src/simcore/simulator.h"
 #include "src/simcore/time.h"
@@ -64,6 +63,13 @@ class ArrivalGenerator {
   // constructed in its place sees identical streams. A third client-id
   // stream is forked only when num_clients > 0; it is independent, so the
   // arrival/key sequences still match the legacy fleet.
+  //
+  // Throws std::invalid_argument, before forking anything, when `base`
+  // fails ValidateFleetParams, when `base.surges` is non-empty (this
+  // generator draws at the base rate only and would drop them), or, in
+  // kMmpp mode, when `phases` is empty or a phase's rate is not positive
+  // and finite or its mean sojourn is not positive. An infinite rate
+  // draws zero gaps, so the process would never reach the horizon.
   ArrivalGenerator(Simulator& sim, const FleetParams& base, ArrivalMode mode,
                    std::vector<MmppPhase> phases, uint32_t num_clients);
 
@@ -71,11 +77,6 @@ class ArrivalGenerator {
   // first). Returns false once the process crossed the horizon: the batch
   // may still hold a final partial window, but later calls yield nothing.
   bool FillWindow(ArrivalBatch& batch, size_t max, SimTime horizon);
-
-  // Optional per-tick arena backing FillWindow's draw scratch. The owner
-  // must Reset() it before each FillWindow (the BatchSequencer does);
-  // nothing allocated from it escapes the call.
-  void AttachArena(TickArena* arena) { arena_ = arena; }
 
   SimTime cursor() const { return cursor_; }
 
@@ -91,8 +92,7 @@ class ArrivalGenerator {
   Rng client_rng_;
   ZipfGenerator zipf_;
   SimTime cursor_;
-  TickArena* arena_ = nullptr;
-  std::vector<double> u_scratch_;  // fallback when no arena is attached
+  std::vector<double> u_scratch_;  // FillWindow's key-stream uniforms
   size_t phase_ = 0;
   bool exhausted_ = false;
 };

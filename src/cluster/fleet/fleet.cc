@@ -8,24 +8,12 @@ namespace fst {
 namespace {
 
 ColumnarFleetParams Validate(ColumnarFleetParams p) {
-  ValidateFleetParams(p.base);
   if (p.window < 1) {
     throw std::invalid_argument("ColumnarFleetParams.window must be >= 1");
   }
   if (!(p.drain_every > Duration::Zero())) {
     throw std::invalid_argument(
         "ColumnarFleetParams.drain_every must be > 0");
-  }
-  if (p.mode == ArrivalMode::kMmpp) {
-    if (p.phases.empty()) {
-      throw std::invalid_argument("kMmpp requires at least one phase");
-    }
-    for (const MmppPhase& ph : p.phases) {
-      if (!(ph.rate > 0.0) || !(ph.mean_sojourn_s > 0.0)) {
-        throw std::invalid_argument(
-            "MmppPhase rate and mean_sojourn_s must be positive");
-      }
-    }
   }
   return p;
 }
@@ -40,8 +28,6 @@ ColumnarFleet::ColumnarFleet(Simulator& sim, ColumnarFleetParams params)
   if (params_.num_clients > 0) {
     tallies_.resize(params_.num_clients);
   }
-  gen_.AttachArena(&arena_);
-  seq_.AttachArena(&arena_);
 }
 
 void ColumnarFleet::Run(KvService& service,

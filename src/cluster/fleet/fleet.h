@@ -33,7 +33,6 @@
 #include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet/arrivals.h"
-#include "src/simcore/arena.h"
 #include "src/simcore/batch_sequencer.h"
 #include "src/simcore/simulator.h"
 #include "src/simcore/time.h"
@@ -63,8 +62,9 @@ struct ClientTally {
 
 class ColumnarFleet {
  public:
-  // Validates params (throws std::invalid_argument) and forks the arrival
-  // and key streams in ClientFleet's order.
+  // Throws std::invalid_argument for a zero window, a non-positive
+  // drain_every, or any arrival input ArrivalGenerator rejects; otherwise
+  // forks the arrival and key streams in ClientFleet's order.
   ColumnarFleet(Simulator& sim, ColumnarFleetParams params);
 
   // Issues tagged arrivals against `service` until base.run_for elapses,
@@ -90,10 +90,6 @@ class ColumnarFleet {
   ColumnarFleetParams params_;
   ArrivalGenerator gen_;
   BatchSequencer seq_;
-  // Tick-scoped scratch arena: the sequencer resets it at every refill
-  // boundary, the generator carves its per-window draw buffers from it.
-  // Nothing arena-backed survives past the tick that allocated it.
-  TickArena arena_;
   ArrivalBatch batch_;
 
   KvService* service_ = nullptr;

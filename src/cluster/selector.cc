@@ -22,12 +22,7 @@ ReplicaSelector::ReplicaSelector(RouteMode mode, int nodes, Rng rng)
       rng_(std::move(rng)) {}
 
 void ReplicaSelector::SetWeight(int node, double weight) {
-  double& slot = weights_[static_cast<size_t>(node)];
-  const double clamped = std::clamp(weight, 0.0, 1.0);
-  if (slot != clamped) {
-    slot = clamped;
-    ++epoch_;
-  }
+  weights_[static_cast<size_t>(node)] = std::clamp(weight, 0.0, 1.0);
 }
 
 std::vector<int> ReplicaSelector::Rank(const std::vector<int>& replicas,
@@ -60,45 +55,6 @@ void ReplicaSelector::RankInto(const std::vector<int>& replicas,
         break;
     }
     scored.emplace_back(node, score);
-  }
-  SampleScored(scored, out);
-  MaybeShrinkScratch();
-}
-
-void ReplicaSelector::RankCachedInto(RankCache& cache,
-                                     const std::vector<int>& replicas,
-                                     const DepthFn& depth,
-                                     std::vector<int>& out) {
-  if (cache.epoch != epoch_) {
-    // Rebuild the filtered candidate list exactly as RankInto's filter
-    // pass would: same order, same w <= 0 drop.
-    cache.scored.clear();
-    cache.scored.reserve(replicas.size());
-    for (int node : replicas) {
-      const double w = weights_[static_cast<size_t>(node)];
-      if (w > 0.0) {
-        cache.scored.emplace_back(node, w);
-      }
-    }
-    cache.epoch = epoch_;
-  }
-  // Per-op scoring over the cached candidates into the mutable scratch
-  // (the sampling loop consumes it destructively).
-  std::vector<std::pair<int, double>>& scored = scored_scratch_;
-  scored.assign(cache.scored.begin(), cache.scored.end());
-  switch (mode_) {
-    case RouteMode::kUniform:
-      for (auto& [node, score] : scored) {
-        score = 1.0;
-      }
-      break;
-    case RouteMode::kWeighted:
-      break;  // cached weights are the scores
-    case RouteMode::kQueueWeighted:
-      for (auto& [node, score] : scored) {
-        score /= 1.0 + static_cast<double>(depth ? depth(node) : 0);
-      }
-      break;
   }
   SampleScored(scored, out);
   MaybeShrinkScratch();

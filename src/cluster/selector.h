@@ -34,29 +34,13 @@ class ReplicaSelector {
   // Reports the live outstanding-request count for a node.
   using DepthFn = std::function<int(int node)>;
 
-  // A caller-owned cached rank prefix for one shard (replica set): the
-  // weight-filtered (node, weight) candidate list, stamped with the
-  // selector epoch it was built at. RankCachedInto() rebuilds it lazily
-  // when the stamp is stale — `epoch == 0` never matches, so a
-  // default-constructed entry is always rebuilt on first use.
-  struct RankCache {
-    uint64_t epoch = 0;
-    std::vector<std::pair<int, double>> scored;
-  };
-
   ReplicaSelector(RouteMode mode, int nodes, Rng rng);
 
-  // Policy share in [0, 1]; 0 removes the node from every ranking. Bumps
-  // the score epoch when the clamped value actually changes.
+  // Policy share in [0, 1]; 0 removes the node from every ranking.
   void SetWeight(int node, double weight);
   double WeightOf(int node) const {
     return weights_[static_cast<size_t>(node)];
   }
-
-  // Monotone score epoch: bumped on every effective weight change, so a
-  // RankCache whose stamp matches is proven current. O(1) invalidation:
-  // a bump implicitly invalidates every cache entry everywhere.
-  uint64_t epoch() const { return epoch_; }
 
   // Orders `replicas` best-first under the mode's scoring; zero-weight
   // candidates are dropped. `depth` is only consulted in kQueueWeighted.
@@ -69,15 +53,6 @@ class ReplicaSelector {
   // ranking synchronously).
   void RankInto(const std::vector<int>& replicas, const DepthFn& depth,
                 std::vector<int>& out);
-
-  // Epoch-cached variant: identical output and RNG draw sequence to
-  // RankInto() on the same replicas, but the weight-filter pass is loaded
-  // from `cache` whenever its epoch stamp is current. Per-op scoring
-  // (the queue-depth divide) and the tie-break draws stay per-call, so
-  // every digest is bit-identical to the uncached path. The caller must
-  // pair each cache entry with one fixed replica set.
-  void RankCachedInto(RankCache& cache, const std::vector<int>& replicas,
-                      const DepthFn& depth, std::vector<int>& out);
 
   RouteMode mode() const { return mode_; }
 
@@ -93,8 +68,8 @@ class ReplicaSelector {
   static constexpr size_t kScratchRetainCap = 64;
 
  private:
-  // The weighted-sampling-without-replacement loop shared by every rank
-  // variant; consumes one UniformDouble per emitted position.
+  // Weighted sampling without replacement over `scored`; consumes one
+  // UniformDouble per emitted position.
   void SampleScored(std::vector<std::pair<int, double>>& scored,
                     std::vector<int>& out);
   void MaybeShrinkScratch();
@@ -103,7 +78,6 @@ class ReplicaSelector {
   std::vector<double> weights_;
   // Tie-break stream: one UniformDouble per emitted rank position.
   Rng rng_;
-  uint64_t epoch_ = 1;
   std::vector<std::pair<int, double>> scored_scratch_;
 };
 

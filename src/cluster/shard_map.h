@@ -43,17 +43,16 @@ class ShardMap {
   // exactly the set the returning overload would produce.
   void ReplicasFor(uint64_t key, std::vector<int>& out) const;
 
-  // -- Segment API (epoch-cached lookups) --
+  // -- Segment API --
   //
   // A *segment* is one arc of the ring: every key hashing into the arc
   // ending at ring point i maps to segment i and shares one replica set.
-  // Replica sets are a pure function of (segment, ejected mask), so a
-  // caller may cache ReplicasForSegment results keyed by (segment,
-  // epoch()) and skip the ring walk entirely between rebalances.
+  // Replica sets are a pure function of (segment, ejected mask), so
+  // OwnershipDigest walks each probed segment once per call.
 
-  // Segment index for `key` in [0, segments()); O(1) via a guide table
-  // over the (uniform) ring point distribution. Identical to the start
-  // position the ReplicasFor walk uses.
+  // Segment index for `key`: a ring point index (0 on an empty ring),
+  // O(1) via a guide table over the (uniform) ring point distribution.
+  // Identical to the start position the ReplicasFor walk uses.
   size_t SegmentOf(uint64_t key) const;
 
   // Pure prefetch of the guide-table line SegmentOf(key) will touch:
@@ -64,15 +63,14 @@ class ShardMap {
       __builtin_prefetch(&lookup_[HashKey(key) >> lookup_shift_]);
     }
   }
-  size_t segments() const { return ring_.size(); }
 
   // The replica set shared by every key in `seg` — exactly what
   // ReplicasFor produces for those keys.
   void ReplicasForSegment(size_t seg, std::vector<int>& out) const;
 
-  // Monotone rebalance epoch: bumped by every effective Eject/Uneject.
-  // Cached (segment -> replicas) entries stamped with a matching epoch
-  // are proven current; a bump is an O(1) fleet-wide invalidation.
+  // Monotone rebalance epoch: bumped by every effective Eject/Uneject, so
+  // a caller that saw epoch e knows no replica set moved while it still
+  // reads e (KvService's repair rescans every acked key when it moves).
   uint64_t epoch() const { return epoch_; }
 
   // Explicit rebalance: removes/restores a node's ring ownership. Both are

@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/simcore/arena.h"
 #include "src/simcore/simulator.h"
 #include "src/simcore/time.h"
 
@@ -49,18 +48,9 @@ class BatchSequencer {
   // False once a refill returned 0 (no event pending).
   bool active() const { return active_; }
 
-  // Attaches a per-tick arena: it is Reset() immediately before every
-  // refill, so scratch allocated during one window (by the refill itself
-  // or by per-index fire work) lives exactly until the next window is
-  // generated. The sequencer is the tick boundary, so it owns the reset.
-  void AttachArena(TickArena* arena) { arena_ = arena; }
-
  private:
   void Pump() {
     while (next_ >= times_->size()) {
-      if (arena_ != nullptr) {
-        arena_->Reset();
-      }
       if (refill_() == 0) {
         active_ = false;
         return;
@@ -78,7 +68,6 @@ class BatchSequencer {
   const std::vector<SimTime>* times_ = nullptr;
   FireFn fire_;
   RefillFn refill_;
-  TickArena* arena_ = nullptr;
   size_t next_ = 0;
   bool active_ = false;
 };

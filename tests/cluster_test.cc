@@ -364,6 +364,7 @@ struct ServeOut {
   int64_t errors = 0;
   int ejections = 0;
   int reweights = 0;
+  int rebalances = 0;
   double p99_ms = 0.0;
   double p999_ms = 0.0;
   uint64_t digest = 0;
@@ -379,6 +380,9 @@ struct ServeConfig {
   bool hedge = false;
   bool gc_fault = false;        // Gribble GC pauses on node 0 instead
   SimTime crash_at;             // > 0: fail-stop node 0 at this time
+  // > 0: node 0 restarts at this time, and the crash-recovery lifecycle
+  // (heartbeats, rejoin) runs so the restarted node is un-ejected.
+  SimTime restart_at;
 };
 
 ServeOut RunServe(const ServeConfig& cfg) {
@@ -400,6 +404,7 @@ ServeOut RunServe(const ServeConfig& cfg) {
   cp.route = RouteFor(cfg.policy);
   cp.hedge_reads = cfg.hedge;
   cp.hedge = HedgeParams{Duration::Millis(60), 1};
+  cp.recovery.enabled = cfg.restart_at > SimTime::Zero();
   KvService svc(sim, cp, MakePolicy(cfg.policy));
 
   if (cfg.slow_factor > 1.0) {
@@ -412,6 +417,10 @@ ServeOut RunServe(const ServeConfig& cfg) {
   }
   if (cfg.crash_at > SimTime::Zero()) {
     sim.ScheduleAt(cfg.crash_at, [&svc]() { svc.node(0)->FailStop(); });
+  }
+  if (cp.recovery.enabled) {
+    sim.ScheduleAt(cfg.restart_at, [&svc]() { svc.node(0)->Restart(); });
+    svc.StartRecovery(SimTime::Zero() + fp.run_for);
   }
 
   bool finished = false;
@@ -428,6 +437,7 @@ ServeOut RunServe(const ServeConfig& cfg) {
   out.errors = svc.slo().errors();
   out.ejections = svc.ejections();
   out.reweights = svc.reweights();
+  out.rebalances = svc.shard_map().rebalances();
   out.p99_ms = svc.slo().P99Ms();
   out.p999_ms = svc.slo().P999Ms();
   out.digest = sim.fire_digest();
@@ -615,6 +625,32 @@ TEST(ClusterDeterminismTest, ServingRunsAreBitIdenticalAndPinned) {
   EXPECT_EQ(a.digest, kServeRunDigest)
       << "serving-path event order changed; if intentional, re-pin with the "
          "new digest: 0x" << std::hex << a.digest;
+}
+
+// Golden digest of a plain-service run that ejects and un-ejects (seed
+// 21, eject-on-stutter): node 0 crashes and is ejected, then restarts and
+// rejoins, so reads route across ShardMap epoch moves, not only across
+// the weight changes kServeRunDigest pins. Routing that kept using a
+// replica set after the ring moved changes this digest but not that one.
+constexpr uint64_t kEjectRunDigest = 0x0914277ea07263b3ULL;
+
+TEST(ClusterDeterminismTest, EjectingRunIsBitIdenticalAndPinned) {
+  ServeConfig cfg;
+  cfg.policy = 1;
+  cfg.lambda = 200.0;
+  cfg.seconds = 5.0;
+  cfg.seed = 21;
+  cfg.crash_at = SimTime::Zero() + Duration::Seconds(1.5);
+  cfg.restart_at = SimTime::Zero() + Duration::Seconds(3.0);
+  const ServeOut a = RunServe(cfg);
+  const ServeOut b = RunServe(cfg);
+  EXPECT_GE(a.rebalances, 2) << "the run must eject and un-eject";
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.json, b.json);
+  EXPECT_EQ(a.digest, kEjectRunDigest)
+      << "serving-path event order changed; if intentional, re-pin with the "
+         "new digest: 0x" << std::hex << a.digest << std::dec
+      << " rebalances=" << a.rebalances;
 }
 
 TEST(ClusterDeterminismTest, SweepThreadCountInvariance) {

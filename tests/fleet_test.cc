@@ -278,6 +278,39 @@ TEST(FleetValidationTest, RejectsDegenerateParams) {
   cfp = ColumnarFleetParams{};
   cfp.base.arrivals_per_sec = 0.0;  // base params validated too
   EXPECT_THROW(ColumnarFleet(sim, cfp), std::invalid_argument);
+  cfp = ColumnarFleetParams{};
+  cfp.mode = ArrivalMode::kMmpp;
+  // Every gap would be 0 ns: the window never crosses the horizon.
+  cfp.phases = {{std::numeric_limits<double>::infinity(), 1.0}};
+  EXPECT_THROW(ColumnarFleet(sim, cfp), std::invalid_argument);
+  cfp = ColumnarFleetParams{};
+  // The generator serves the base rate only; a surge would be dropped.
+  cfp.base.surges = {{Duration::Seconds(1.0), Duration::Seconds(1.0), 2.0}};
+  EXPECT_THROW(ColumnarFleet(sim, cfp), std::invalid_argument);
+
+  // The generator validates its own inputs: tests and benches build it
+  // without a ColumnarFleet in front.
+  const auto gen = [&sim](const FleetParams& base, ArrivalMode mode,
+                          std::vector<MmppPhase> phases) {
+    ArrivalGenerator g(sim, base, mode, std::move(phases), 0);
+  };
+  fp = FleetParams{};
+  fp.arrivals_per_sec = 0.0;  // Exponential(inf) cast to int64 nanoseconds
+  EXPECT_THROW(gen(fp, ArrivalMode::kPoisson, {}), std::invalid_argument);
+  fp = FleetParams{};
+  EXPECT_THROW(gen(fp, ArrivalMode::kMmpp, {}), std::invalid_argument);
+  EXPECT_THROW(gen(fp, ArrivalMode::kMmpp, {{-1.0, 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(gen(fp, ArrivalMode::kMmpp,
+                   {{std::numeric_limits<double>::infinity(), 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(gen(fp, ArrivalMode::kMmpp, {{300.0, 0.0}}),
+               std::invalid_argument);
+  fp.surges = {{Duration::Seconds(1.0), Duration::Seconds(1.0), 2.0}};
+  EXPECT_THROW(gen(fp, ArrivalMode::kPoisson, {}), std::invalid_argument);
+  fp = FleetParams{};
+  EXPECT_NO_THROW(gen(fp, ArrivalMode::kPoisson, {}));
+  EXPECT_NO_THROW(gen(fp, ArrivalMode::kMmpp, {{300.0, 1.0}}));
 }
 
 TEST(FleetValidationTest, ZeroHorizonResolvesDoneWithZeroOps) {

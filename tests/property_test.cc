@@ -363,122 +363,3 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GdProperty,
 
 }  // namespace
 }  // namespace fst
-
-// ----------------------------------------------------------------
-// Epoch-cached ranking differential: a randomized stream of weight
-// moves, ejects, and unejects interleaved with lookups must leave the
-// cached path (segment cache + RankCachedInto) emitting exactly the
-// ranking stream of the uncached path (fresh ring walk + RankInto),
-// with identical RNG draw sequences — checked per step and by digest.
-// ----------------------------------------------------------------
-
-#include "src/cluster/selector.h"
-#include "src/cluster/shard_map.h"
-
-namespace fst {
-namespace {
-
-class EpochCacheProperty : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(EpochCacheProperty, CachedRankingMatchesUncachedUnderMutations) {
-  const uint64_t seed = GetParam();
-  constexpr int kNodes = 24;
-  ShardMap map_u(kNodes, ShardMapParams{});
-  ShardMap map_c(kNodes, ShardMapParams{});
-  // Identically seeded selector pair: parity of outputs keeps the two
-  // tie-break streams in lockstep, so any divergence is sticky and the
-  // per-step ASSERT pins the first bad step.
-  ReplicaSelector sel_u(RouteMode::kQueueWeighted, kNodes, Rng(seed * 7 + 1));
-  ReplicaSelector sel_c(RouteMode::kQueueWeighted, kNodes, Rng(seed * 7 + 1));
-  Rng driver(seed);
-
-  std::vector<int> depth(kNodes, 0);
-  const ReplicaSelector::DepthFn depth_fn = [&](int node) {
-    return depth[static_cast<size_t>(node)];
-  };
-
-  struct Cached {
-    uint64_t map_epoch = 0;
-    std::vector<int> replicas;
-    ReplicaSelector::RankCache rank;
-  };
-  std::vector<Cached> cache(map_c.segments());
-
-  std::vector<int> fresh;
-  std::vector<int> out_u;
-  std::vector<int> out_c;
-  uint64_t digest_u = 1469598103934665603ull;
-  uint64_t digest_c = 1469598103934665603ull;
-  const auto fold = [](uint64_t d, const std::vector<int>& ranked) {
-    for (int n : ranked) {
-      d ^= static_cast<uint64_t>(n) + 0x9e3779b97f4a7c15ull;
-      d *= 1099511628211ull;
-    }
-    return d;
-  };
-  int64_t seg_rebuilds = 0;
-  int ejected_count = 0;
-
-  for (int step = 0; step < 20000; ++step) {
-    // Mutations are rare relative to lookups, like registry transitions
-    // against served ops — but 20k steps still yields hundreds of epoch
-    // bumps, each invalidating every cache entry at once.
-    if (driver.Bernoulli(0.02)) {
-      const int node = static_cast<int>(driver.UniformInt(0, kNodes - 1));
-      const double w = driver.Bernoulli(0.2) ? 0.0 : driver.UniformDouble();
-      sel_u.SetWeight(node, w);
-      sel_c.SetWeight(node, w);
-    }
-    if (driver.Bernoulli(0.01)) {
-      const int node = static_cast<int>(driver.UniformInt(0, kNodes - 1));
-      // Keep a quorum alive so lookups stay non-degenerate.
-      if (driver.Bernoulli(0.5) && ejected_count < kNodes / 2) {
-        map_u.Eject(node);
-        map_c.Eject(node);
-        ++ejected_count;
-      } else {
-        map_u.Uneject(node);
-        map_c.Uneject(node);
-        ejected_count = 0;
-        for (int n = 0; n < kNodes; ++n) {
-          ejected_count += map_c.IsEjected(n) ? 1 : 0;
-        }
-      }
-    }
-    depth[driver.UniformInt(0, kNodes - 1)] =
-        static_cast<int>(driver.UniformInt(0, 16));
-
-    const uint64_t key = driver.NextU64();
-
-    // Uncached reference: full ring walk + full filter pass.
-    map_u.ReplicasFor(key, fresh);
-    sel_u.RankInto(fresh, depth_fn, out_u);
-
-    // Cached path, exactly as the serving layer runs it.
-    const size_t seg = map_c.SegmentOf(key);
-    Cached& c = cache[seg];
-    if (c.map_epoch != map_c.epoch()) {
-      map_c.ReplicasForSegment(seg, c.replicas);
-      c.map_epoch = map_c.epoch();
-      c.rank.epoch = 0;
-      ++seg_rebuilds;
-    }
-    sel_c.RankCachedInto(c.rank, c.replicas, depth_fn, out_c);
-
-    ASSERT_EQ(out_c, out_u) << "step " << step << " key " << key;
-    digest_u = fold(digest_u, out_u);
-    digest_c = fold(digest_c, out_c);
-  }
-
-  EXPECT_EQ(digest_c, digest_u);
-  // The stream must have actually exercised both cache reuse and
-  // invalidation, or the differential proves nothing.
-  EXPECT_GT(seg_rebuilds, static_cast<int64_t>(map_c.segments()));
-  EXPECT_LT(seg_rebuilds, 20000);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EpochCacheProperty,
-                         ::testing::Range(uint64_t{70}, uint64_t{76}));
-
-}  // namespace
-}  // namespace fst

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/simcore/arena.h"
 #include "src/simcore/event_queue.h"
 #include "src/simcore/inline_callback.h"
 #include "src/simcore/metrics.h"
@@ -987,51 +986,6 @@ TEST(HistogramTest, P999TracksExtremeTail) {
   h.Add(1e9);
   EXPECT_LT(h.P99(), 2e6);
   EXPECT_GT(h.P999(), 0.9e9);
-}
-
-// ---------------------------------------------------------------- arena
-
-TEST(TickArenaTest, AllocationsAreAlignedAndDisjoint) {
-  TickArena arena(256);
-  auto* a = arena.AllocateArray<double>(10);
-  auto* b = arena.AllocateArray<uint8_t>(3);
-  auto* c = arena.AllocateArray<uint64_t>(5);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % alignof(double), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % alignof(uint64_t), 0u);
-  // Write patterns; no overlap means none clobbers another.
-  for (int i = 0; i < 10; ++i) a[i] = 1.5;
-  for (int i = 0; i < 3; ++i) b[i] = 7;
-  for (int i = 0; i < 5; ++i) c[i] = 42;
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(a[i], 1.5);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(b[i], 7);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(c[i], 42u);
-}
-
-TEST(TickArenaTest, ResetRetainsCapacityAndReusesChunks) {
-  TickArena arena(1 << 10);
-  for (int tick = 0; tick < 50; ++tick) {
-    arena.Reset();
-    (void)arena.AllocateArray<double>(200);  // > one 1 KiB chunk
-    (void)arena.AllocateArray<double>(100);
-  }
-  const size_t cap = arena.capacity();
-  EXPECT_GT(cap, 0u);
-  // Steady state: more ticks at the same demand never grow capacity.
-  for (int tick = 0; tick < 50; ++tick) {
-    arena.Reset();
-    (void)arena.AllocateArray<double>(200);
-    (void)arena.AllocateArray<double>(100);
-  }
-  EXPECT_EQ(arena.capacity(), cap);
-  EXPECT_EQ(arena.resets(), 100u);
-}
-
-TEST(TickArenaTest, OversizedRequestGetsItsOwnChunk) {
-  TickArena arena(64);
-  auto* big = arena.AllocateArray<double>(1000);  // far beyond chunk size
-  for (int i = 0; i < 1000; ++i) big[i] = static_cast<double>(i);
-  EXPECT_EQ(big[999], 999.0);
-  EXPECT_GE(arena.high_water(), 8000u);
 }
 
 // ------------------------------------------ event queue mid-run ordering
