@@ -19,8 +19,8 @@
 #include "bench/bench_util.h"
 #include "src/chaos/campaign.h"
 #include "src/chaos/scenario.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/core/policy.h"
 #include "src/faults/injector.h"
 
@@ -91,7 +91,7 @@ RepairRun RunRepairGrid(double repair_keys_per_sec, uint64_t seed) {
   fp.run_for = Duration::Seconds(16.0);
   fp.read_fraction = 0.5;  // writes keep the acked ledger growing mid-run
   fp.key_space = 400;
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, fp);
 
   ClusterParams cp;
   cp.nodes = 4;

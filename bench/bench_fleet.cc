@@ -10,10 +10,9 @@
 //   * op-state churn     — slab OpTable allocate/free vs the old
 //                          shared_ptr<op-state> + capturing-callback pair.
 // Macro benches then run the whole serving stack: the E22-style cell
-// (legacy vs columnar front end, sim_ops_per_sec counters — the honest
-// end-to-end speedup, smaller than the micros because node compute and
-// the switch dominate), and a many-client attribution cell showing
-// per-client tallies stay cheap at population scale.
+// (sim_ops_per_sec counter — node compute and the switch dominate it),
+// and a many-client attribution cell showing per-client tallies stay
+// cheap at population scale.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet/arrivals.h"
 #include "src/cluster/fleet/fleet.h"
@@ -282,8 +280,8 @@ void BM_ClientOpCoreLegacy(benchmark::State& state) {
 BENCHMARK(BM_ClientOpCoreLegacy)->Unit(benchmark::kMillisecond);
 
 // Columnar shape: windowed SoA arrivals walked by the BatchSequencer's
-// inline events, slab op rows, completions coalesced through the ring and
-// batch-fed to the SloTracker.
+// inline events, slab op rows, SLO recorded at each completion and the
+// {tag, outcome} records coalesced through the ring.
 void BM_ClientOpCoreColumnar(benchmark::State& state) {
   int64_t issued = 0;
   for (auto _ : state) {
@@ -310,29 +308,25 @@ void BM_ClientOpCoreColumnar(benchmark::State& state) {
           const int64_t slot = ops.SlotOf(id);
           ops.key[static_cast<size_t>(slot)] = batch.key[i];
           ops.t0[static_cast<size_t>(slot)] = sim.Now();
-          CompletionRecord r;
-          r.issued = sim.Now();
-          r.completed = sim.Now() + Duration::Micros(50);
-          ring.Append(r);
+          slo.RecordAck(Duration::Micros(50), 1);
+          ring.Append(CompletionRecord{batch.client[i], SloOutcome::kAck});
           ops.Free(id);
           ++issued;
         },
         [&]() -> size_t {
           ring.SwapDrain(drained);
-          slo.RecordBatch(drained.data(), drained.size());
           gen.FillWindow(batch, 4096, horizon);
           return batch.size();
         });
     sim.Run();
     ring.SwapDrain(drained);
-    slo.RecordBatch(drained.data(), drained.size());
   }
   state.SetItemsProcessed(issued);
 }
 BENCHMARK(BM_ClientOpCoreColumnar)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// End to end: the E22-style serving cell, legacy vs columnar front end
+// End to end: the E22-style serving cell
 // ---------------------------------------------------------------------------
 
 struct ServeCellOut {
@@ -341,8 +335,8 @@ struct ServeCellOut {
   uint64_t events = 0;
 };
 
-ServeCellOut RunServeCell(bool columnar, double lambda, double seconds,
-                          uint32_t num_clients, uint64_t seed) {
+ServeCellOut RunServeCell(double lambda, double seconds, uint32_t num_clients,
+                          uint64_t seed) {
   Simulator sim(seed);
   ClusterParams cp;
   cp.nodes = 4;
@@ -355,48 +349,37 @@ ServeCellOut RunServeCell(bool columnar, double lambda, double seconds,
   KvService svc(sim, cp, std::make_unique<ProportionalSharePolicy>(8.0));
   svc.node(0)->AttachModulator(std::make_shared<ConstantFactorModulator>(2.0));
 
-  FleetParams fp;
-  fp.arrivals_per_sec = lambda;
-  fp.run_for = Duration::Seconds(seconds);
-  fp.read_fraction = 1.0;
-  fp.zipf_s = 1.1;
+  ColumnarFleetParams cfp;
+  cfp.base.arrivals_per_sec = lambda;
+  cfp.base.run_for = Duration::Seconds(seconds);
+  cfp.base.read_fraction = 1.0;
+  cfp.base.zipf_s = 1.1;
   // Default key space: the cell measures serving, not CDF construction
   // (the 1M-key sampling cost is the micros' job).
+  cfp.num_clients = num_clients;
 
   ServeCellOut out;
   bool finished = false;
-  if (columnar) {
-    ColumnarFleetParams cfp;
-    cfp.base = fp;
-    cfp.num_clients = num_clients;
-    ColumnarFleet fleet(sim, cfp);
-    fleet.Run(svc, [&](const FleetResult& r) {
-      out.ops_issued = r.ops_issued;
-      finished = true;
-    });
-    sim.Run();
-  } else {
-    ClientFleet fleet(sim, fp);
-    fleet.Run(svc, [&](const FleetResult& r) {
-      out.ops_issued = r.ops_issued;
-      finished = true;
-    });
-    sim.Run();
-  }
+  ColumnarFleet fleet(sim, cfp);
+  fleet.Run(svc, [&](const FleetResult& r) {
+    out.ops_issued = r.ops_issued;
+    finished = true;
+  });
+  sim.Run();
   if (finished) {
-    out.goodput_per_sec = svc.slo().GoodputPerSec(fp.run_for);
+    out.goodput_per_sec = svc.slo().GoodputPerSec(cfp.base.run_for);
   }
   out.events = sim.events_fired();
   return out;
 }
 
-// Args: {columnar}. sim_ops_per_sec is the headline: simulated serving ops
-// retired per second of wall clock.
+// sim_ops_per_sec is the headline: simulated serving ops retired per
+// second of wall clock. The /1 suffix is the row name its committed
+// baseline was recorded under.
 void BM_FleetServeE22(benchmark::State& state) {
-  const bool columnar = state.range(0) != 0;
   ServeCellOut out;
   for (auto _ : state) {
-    out = RunServeCell(columnar, 320.0, 10.0, 0, 3);
+    out = RunServeCell(320.0, 10.0, 0, 3);
     state.SetItemsProcessed(state.items_processed() + out.ops_issued);
   }
   state.counters["sim_ops_per_sec"] = benchmark::Counter(
@@ -404,9 +387,8 @@ void BM_FleetServeE22(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
   state.counters["goodput_per_sec"] = out.goodput_per_sec;
   state.counters["events"] = static_cast<double>(out.events);
-  state.SetLabel(columnar ? "columnar" : "legacy");
 }
-BENCHMARK(BM_FleetServeE22)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetServeE22)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // A population of attributed clients: every op tagged, per-client tallies
 // folded into ClientDigest. Cost per op must stay flat as clients grow —
@@ -415,7 +397,7 @@ void BM_FleetManyClients(benchmark::State& state) {
   const uint32_t clients = static_cast<uint32_t>(state.range(0));
   ServeCellOut out;
   for (auto _ : state) {
-    out = RunServeCell(true, 2000.0, 2.0, clients, 3);
+    out = RunServeCell(2000.0, 2.0, clients, 3);
     state.SetItemsProcessed(state.items_processed() + out.ops_issued);
   }
   state.counters["sim_ops_per_sec"] = benchmark::Counter(

@@ -16,8 +16,8 @@
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/obs/live/burn_rate.h"
 #include "src/obs/live/expectation.h"
 #include "src/obs/live/window_stats.h"
@@ -111,7 +111,7 @@ void BM_ServeWithLivePlane(benchmark::State& state) {
     FleetParams fp;
     fp.arrivals_per_sec = 320.0;
     fp.run_for = Duration::Seconds(8.0);
-    ClientFleet fleet(sim, fp);
+    ColumnarFleet fleet(sim, fp);
     ClusterParams cp;
     cp.live.enabled = live;
     KvService svc(sim, cp, std::make_unique<ProportionalSharePolicy>());

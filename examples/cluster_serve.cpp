@@ -24,8 +24,8 @@
 
 #include "src/analysis/experiment.h"
 #include "src/analysis/table.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/devices/modulators.h"
 #include "src/faults/catalog.h"
 #include "src/harness/sweep.h"
@@ -102,7 +102,7 @@ fst::CellResult ServeCell(FaultKind fault, const fst::CellPoint& point) {
   fp.run_for = fst::Duration::Seconds(kSeconds);
   fp.read_fraction = 1.0;
   fp.zipf_s = 0.0;
-  fst::ClientFleet fleet(sim, fp);
+  fst::ColumnarFleet fleet(sim, fp);
 
   fst::ClusterParams cp;
   cp.nodes = kNodes;

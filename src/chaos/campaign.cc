@@ -6,7 +6,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/cluster/client.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/core/policy.h"
 #include "src/faults/fault.h"
 #include "src/harness/sweep.h"
@@ -25,7 +25,7 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
   fleet_params.run_for = p.run_for;
   fleet_params.read_fraction = p.read_fraction;
   fleet_params.key_space = p.key_space;
-  ClientFleet fleet(sim, fleet_params);
+  ColumnarFleet fleet(sim, fleet_params);
 
   ClusterParams cluster;
   cluster.nodes = p.nodes;
@@ -110,11 +110,11 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
   out.lost_acked = svc.lost_acked_writes();
   out.under_replicated = svc.under_replicated_keys();
 
+  CorrelationReport rep;
   if (p.telemetry) {
     out.telemetry = true;
     const LivePlane& live = *svc.live();
-    const CorrelationReport rep =
-        CorrelateFaultTimeline(recorder.Events(), recorder.components());
+    rep = CorrelateFaultTimeline(recorder.Events(), recorder.components());
     const std::vector<GraySpan> spans = live.expectation().GraySpans();
     out.scorecard = BuildScorecard(rep, spans, end_of_run, p.scorecard);
     out.gray_spans = static_cast<int>(spans.size());
@@ -126,29 +126,6 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
     }
     out.live_json = live.Json();
     out.slo_json = svc.slo().ReportJson(p.run_for);
-
-    // Detection-quality invariants. Count consistency is unconditional;
-    // crash coverage holds because every generated crash keeps the node
-    // down >= 1.2s, past the 1s liveness timeout, so the heartbeat (or a
-    // failed data-path request) must declare it.
-    if (out.scorecard.detected + out.scorecard.missed !=
-        out.scorecard.faults) {
-      out.violations.push_back("scorecard count mismatch: detected " +
-                               std::to_string(out.scorecard.detected) +
-                               " + missed " +
-                               std::to_string(out.scorecard.missed) +
-                               " != faults " +
-                               std::to_string(out.scorecard.faults));
-    }
-    for (const FaultRecord& f : rep.faults) {
-      if (f.kind == "crash-restart" && !f.detected) {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "crash on %s at %.3fs never detected", f.device.c_str(),
-                      f.injected_at.ToSeconds());
-        out.violations.push_back(buf);
-      }
-    }
   }
 
   if (p.control_plane) {
@@ -163,67 +140,102 @@ SeedOutcome RunChaosSeed(const CampaignParams& p, uint64_t seed) {
     out.reconfig_max_ms = group->reconfig_max_ms();
     out.leaderless_s = group->leaderless_seconds();
     out.max_leaderless_s = group->max_leaderless_seconds();
-    for (std::string& v : group->CheckInvariants(p.unavailability_bound)) {
-      out.violations.push_back(std::move(v));
+  }
+
+  CheckRunInvariants(svc, out.lost_acked, out.under_replicated,
+                     p.telemetry ? &rep : nullptr,
+                     p.telemetry ? &out.scorecard : nullptr, group.get(),
+                     p.unavailability_bound, out.violations);
+  out.ok = out.violations.empty();
+  return out;
+}
+
+void CheckRunInvariants(KvService& svc, int64_t lost_acked,
+                        int64_t under_replicated,
+                        const CorrelationReport* report,
+                        const DetectorScorecard* scorecard,
+                        const ConsensusGroup* group,
+                        Duration unavailability_bound,
+                        std::vector<std::string>& violations) {
+  if (report != nullptr && scorecard != nullptr) {
+    // Count consistency is unconditional; crash coverage holds because
+    // every generated crash keeps its node down past the liveness timeout,
+    // so the heartbeat (or a failed data-path request) must declare it.
+    if (scorecard->detected + scorecard->missed != scorecard->faults) {
+      violations.push_back("scorecard count mismatch: detected " +
+                           std::to_string(scorecard->detected) +
+                           " + missed " + std::to_string(scorecard->missed) +
+                           " != faults " + std::to_string(scorecard->faults));
+    }
+    for (const FaultRecord& f : report->faults) {
+      if (f.kind == "crash-restart" && !f.detected) {
+        char buf[128];
+        std::snprintf(buf, sizeof(buf),
+                      "crash on %s at %.3fs never detected", f.device.c_str(),
+                      f.injected_at.ToSeconds());
+        violations.push_back(buf);
+      }
+    }
+  }
+
+  const int nodes = svc.params().nodes;
+  if (group != nullptr) {
+    for (std::string& v : group->CheckInvariants(unavailability_bound)) {
+      violations.push_back(std::move(v));
     }
     // No split-brain ownership: at quiesce the serving map and weights
     // must equal the feed replica's applied state bit-for-bit — the
     // service holds no ownership fact the quorum never committed.
     const ControlState& feed = group->replica(0).state();
-    if (svc.shard_map().OwnershipDigest() !=
-        feed.map().OwnershipDigest()) {
-      out.violations.push_back(
+    if (svc.shard_map().OwnershipDigest() != feed.map().OwnershipDigest()) {
+      violations.push_back(
           "serving shard map diverged from feed replica applied state");
     }
-    for (int i = 0; i < p.nodes; ++i) {
+    for (int i = 0; i < nodes; ++i) {
       if (svc.selector().WeightOf(i) != feed.weight(i)) {
         char buf[112];
         std::snprintf(buf, sizeof(buf),
                       "node%d serving weight %.6f != committed %.6f", i,
                       svc.selector().WeightOf(i), feed.weight(i));
-        out.violations.push_back(buf);
+        violations.push_back(buf);
       }
     }
     if (group->pending_proposals() != 0) {
-      out.violations.push_back(
-          std::to_string(group->pending_proposals()) +
-          " control proposals never committed by end of run");
+      violations.push_back(std::to_string(group->pending_proposals()) +
+                           " control proposals never committed by end of run");
     }
   }
 
-  if (out.lost_acked > 0) {
-    out.violations.push_back("lost_acked_writes=" +
-                             std::to_string(out.lost_acked));
+  if (lost_acked > 0) {
+    violations.push_back("lost_acked_writes=" + std::to_string(lost_acked));
   }
-  if (out.under_replicated > 0) {
-    out.violations.push_back("under_replicated_keys=" +
-                             std::to_string(out.under_replicated));
+  if (under_replicated > 0) {
+    violations.push_back("under_replicated_keys=" +
+                         std::to_string(under_replicated));
   }
-  for (int i = 0; i < p.nodes; ++i) {
+  for (int i = 0; i < nodes; ++i) {
     const std::string name = "node" + std::to_string(i);
     const PerfState st = svc.registry().StateOf(name);
     if (svc.node(i)->has_failed()) {
-      out.violations.push_back(name + " still down at end of run");
+      violations.push_back(name + " still down at end of run");
       continue;
     }
     if (st == PerfState::kFailed) {
-      out.violations.push_back(name + " stuck kFailed though the device is up");
+      violations.push_back(name + " stuck kFailed though the device is up");
     }
     const bool ejected = svc.shard_map().IsEjected(i);
     if (ejected && st != PerfState::kStuttering) {
-      out.violations.push_back(name + " ejected though state is " +
-                               PerfStateName(st));
+      violations.push_back(name + " ejected though state is " +
+                           PerfStateName(st));
     }
     if (st == PerfState::kHealthy && !ejected &&
         std::fabs(svc.selector().WeightOf(i) - 1.0) > 1e-9) {
       char buf[96];
       std::snprintf(buf, sizeof(buf), "%s healthy but weight %.4f != 1.0",
                     name.c_str(), svc.selector().WeightOf(i));
-      out.violations.push_back(buf);
+      violations.push_back(buf);
     }
   }
-  out.ok = out.violations.empty();
-  return out;
 }
 
 CampaignResult RunCampaign(const CampaignParams& p) {

@@ -25,7 +25,9 @@
 #include <vector>
 
 #include "src/chaos/scenario.h"
+#include "src/cluster/cluster.h"
 #include "src/consensus/raft.h"
+#include "src/obs/correlator.h"
 #include "src/obs/live/live_plane.h"
 #include "src/obs/live/scorecard.h"
 #include "src/simcore/time.h"
@@ -144,6 +146,27 @@ struct CampaignResult {
 
 // Runs one seed end to end (exposed for tests and the closed-form checks).
 SeedOutcome RunChaosSeed(const CampaignParams& params, uint64_t seed);
+
+// The invariants every campaign run (chaos seed or resilience cell) checks
+// once it has quiesced, appended to `violations` in this order:
+//   1. detection quality, when `report` and `scorecard` are given: the
+//      scorecard's counts are consistent, and every crash was detected;
+//   2. control plane, when `group` is given: the consensus invariants with
+//      `unavailability_bound`, no split-brain ownership (the serving map
+//      and weights equal the feed replica's applied state), and no
+//      proposal left uncommitted;
+//   3. durability, repair and convergence, always: no acked write lost
+//      (`lost_acked`, svc.lost_acked_writes()), replication restored
+//      (`under_replicated`, svc.under_replicated_keys()), every node up,
+//      none stuck kFailed or ejected without cause, healthy nodes back at
+//      weight 1.0.
+void CheckRunInvariants(KvService& svc, int64_t lost_acked,
+                        int64_t under_replicated,
+                        const CorrelationReport* report,
+                        const DetectorScorecard* scorecard,
+                        const ConsensusGroup* group,
+                        Duration unavailability_bound,
+                        std::vector<std::string>& violations);
 
 // Runs the full campaign across the sweep harness.
 CampaignResult RunCampaign(const CampaignParams& params);

@@ -33,7 +33,7 @@
 //     open-loop arrival rate surges by `surge` for the window — the
 //     overload trigger for retry-driven metastable collapse. The slowdown
 //     half is injected by ApplySchedule; the arrival half is returned by
-//     SurgeWindows() for the workload driver to hand its ClientFleet.
+//     SurgeWindows() for the workload to hand its fleet.
 //
 // Besides a fixed index, `node=` accepts the selector `leader`: the event
 // binds to *whoever leads the consensus group at fire time*, resolved by
@@ -178,8 +178,8 @@ void ApplySchedule(Simulator& sim, KvService& service,
 // The arrival half of every kRetryStorm entry in the schedule, in schedule
 // order: the open-loop client fleet multiplies its arrival rate by
 // `factor` over [at, at + duration). ApplySchedule injects only the
-// service-side slowdown; the workload driver passes these windows to its
-// ClientFleet (FleetParams::surges) before the run starts.
+// service-side slowdown; the workload passes these windows to its
+// fleet (FleetParams::surges) before the run starts.
 struct SurgeWindow {
   Duration at;
   Duration duration;

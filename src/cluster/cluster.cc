@@ -180,8 +180,7 @@ uint64_t KvService::BeginTrace(SimTime now) {
   return id;
 }
 
-OpTable::Id KvService::BeginOp(uint64_t key, bool is_read, bool tagged,
-                               uint64_t tag, IoCallback done) {
+OpTable::Id KvService::BeginOp(uint64_t key, bool is_read, uint64_t tag) {
   const SimTime t0 = sim_.Now();
   if (is_read) {
     ++reads_;
@@ -199,12 +198,10 @@ OpTable::Id KvService::BeginOp(uint64_t key, bool is_read, bool tagged,
   ops_.t0[slot] = t0;
   ops_.trace_id[slot] = BeginTrace(t0);
   ops_.tag[slot] = tag;
-  ops_.flags[slot] = static_cast<uint8_t>((is_read ? OpTable::kIsRead : 0) |
-                                          (tagged ? OpTable::kTagged : 0));
+  ops_.flags[slot] = is_read ? OpTable::kIsRead : 0;
   if (!is_read) {
     ops_.version[slot] = next_version_++;
   }
-  ops_.done[slot] = std::move(done);
   return id;
 }
 
@@ -213,56 +210,40 @@ void KvService::FinishOp(OpTable::Id id, bool ok) {
   const SimTime now = sim_.Now();
   const SimTime t0 = ops_.t0[slot];
   const uint64_t trace_id = ops_.trace_id[slot];
-  const uint8_t flags = ops_.flags[slot];
   const int attempts = std::max<int>(ops_.attempts[slot], 1);
-  const uint64_t tag = ops_.tag[slot];
-  IoCallback done = std::move(ops_.done[slot]);
-  ops_.Free(id);
-  --in_flight_;
-  if ((flags & OpTable::kTagged) != 0) {
-    // Coalesced delivery: outcome rides the ring to the next drain; the
-    // shed counter stays inline because it is service state, not SLO state.
-    CompletionRecord rec;
-    rec.tag = tag;
-    rec.issued = t0;
-    rec.completed = now;
-    rec.attempts = attempts;
-    if (ok) {
-      rec.outcome = SloOutcome::kAck;
-    } else if ((flags & OpTable::kAdmittedAny) == 0) {
-      ++sheds_;
-      rec.outcome = SloOutcome::kShed;
-    } else {
-      rec.outcome = SloOutcome::kError;
-    }
-    completions_.Append(rec);
-  } else if (ok) {
+  // SLO accounting happens here, at completion, so a telemetry tick or a
+  // goodput probe reading the tracker mid-run sees every finished op; the
+  // ring carries only what the front end tallies. The shed counter is
+  // service state and stays inline too.
+  CompletionRecord rec;
+  rec.tag = ops_.tag[slot];
+  if (ok) {
+    rec.outcome = SloOutcome::kAck;
     slo_.RecordAck(now - t0, attempts);
-  } else if ((flags & OpTable::kAdmittedAny) == 0) {
+  } else if ((ops_.flags[slot] & OpTable::kAdmittedAny) == 0) {
+    rec.outcome = SloOutcome::kShed;
     ++sheds_;
     slo_.RecordShed(attempts);
   } else {
+    rec.outcome = SloOutcome::kError;
     slo_.RecordError(attempts);
   }
-  if (recorder_ != nullptr && trace_id != 0) {
-    if ((flags & OpTable::kTagged) != 0) {
-      // Coalesced delivery extends to tracing: the row is staged and
-      // rides the next drain's bulk append instead of paying a ring
-      // cursor round-trip per completion.
-      trace_scratch_.push_back(
-          TraceEvent{now, EventKind::kRequestComplete, trace_comp_, 0, -1,
-                     trace_id, 0.0, static_cast<double>((now - t0).nanos())});
-    } else {
-      recorder_->RequestComplete(now, trace_comp_, trace_id, -1,
-                                 Duration::Zero(), now - t0);
-    }
+  for (const uint64_t v :
+       {ops_.key[slot], static_cast<uint64_t>(t0.nanos()),
+        static_cast<uint64_t>(now.nanos()),
+        static_cast<uint64_t>(rec.outcome), static_cast<uint64_t>(attempts)}) {
+    outcome_digest_ = (outcome_digest_ ^ v) * 1099511628211ull;
   }
-  if (done) {
-    IoResult r;
-    r.ok = ok;
-    r.issued = t0;
-    r.completed = now;
-    done(r);
+  ops_.Free(id);
+  --in_flight_;
+  completions_.Append(rec);
+  if (recorder_ != nullptr && trace_id != 0) {
+    // Coalesced delivery extends to tracing: the row is staged and rides
+    // the next drain's bulk append instead of paying a ring cursor
+    // round-trip per completion.
+    trace_scratch_.push_back(
+        TraceEvent{now, EventKind::kRequestComplete, trace_comp_, 0, -1,
+                   trace_id, 0.0, static_cast<double>((now - t0).nanos())});
   }
 }
 
@@ -272,7 +253,6 @@ const std::vector<CompletionRecord>& KvService::DrainCompletions() {
     trace_scratch_.clear();
   }
   completions_.SwapDrain(drained_);
-  slo_.RecordBatch(drained_.data(), drained_.size());
   return drained_;
 }
 
@@ -519,13 +499,8 @@ void KvService::OnAttemptComplete(const AttemptCtx& ctx, bool ok) {
   }
 }
 
-void KvService::Get(uint64_t key, IoCallback done) {
-  StartReadAttempt(BeginOp(key, /*is_read=*/true, /*tagged=*/false, 0,
-                           std::move(done)));
-}
-
 void KvService::GetTagged(uint64_t key, uint64_t tag) {
-  StartReadAttempt(BeginOp(key, /*is_read=*/true, /*tagged=*/true, tag, {}));
+  StartReadAttempt(BeginOp(key, /*is_read=*/true, tag));
 }
 
 void KvService::StartReadAttempt(OpTable::Id id) {
@@ -657,13 +632,8 @@ void KvService::IssueHedged(const std::vector<int>& ranked, OpTable::Id id) {
   });
 }
 
-void KvService::Put(uint64_t key, IoCallback done) {
-  StartWriteAttempt(BeginOp(key, /*is_read=*/false, /*tagged=*/false, 0,
-                            std::move(done)));
-}
-
 void KvService::PutTagged(uint64_t key, uint64_t tag) {
-  StartWriteAttempt(BeginOp(key, /*is_read=*/false, /*tagged=*/true, tag, {}));
+  StartWriteAttempt(BeginOp(key, /*is_read=*/false, tag));
 }
 
 void KvService::StartWriteAttempt(OpTable::Id id) {

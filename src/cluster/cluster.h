@@ -154,19 +154,14 @@ class KvService {
             std::unique_ptr<ReactionPolicy> policy,
             EventRecorder* recorder = nullptr);
 
-  // Reads route to one replica chosen by the selector (optionally hedged);
-  // a request that no admissible replica can accept is shed immediately.
-  void Get(uint64_t key, IoCallback done);
-
-  // Writes fan out to every replica of the key; `done` fires at the
-  // write_quorum-th success (or with failure once no quorum is reachable).
-  void Put(uint64_t key, IoCallback done);
-
-  // Columnar front-end variants: identical routing, retries, and event
-  // schedule as Get/Put, but the terminal outcome is appended to the
-  // completion ring (carrying `tag`, caller context such as a client id)
-  // instead of invoking a per-op callback, and SLO accounting is deferred
-  // to the next DrainCompletions() — zero per-op allocation end to end.
+  // The op entry points. A read routes to one replica chosen by the
+  // selector (optionally hedged, or NMR fanned out); a request that no
+  // admissible replica can accept is shed. A write fans out to every
+  // replica of the key and succeeds at the write_quorum-th success (or
+  // fails once no quorum is reachable). Either way the op's SLO outcome is
+  // recorded the instant it terminates, and {tag, outcome} is appended to
+  // the completion ring (`tag` is caller context such as a client id) —
+  // zero per-op allocation end to end.
   void GetTagged(uint64_t key, uint64_t tag);
   void PutTagged(uint64_t key, uint64_t tag);
 
@@ -176,12 +171,12 @@ class KvService {
     shard_map_.PrefetchSegmentOf(key);
   }
 
-  // Drains the completion ring in FIFO (= completion) order: feeds every
-  // record through SloTracker::RecordBatch, then hands the batch to the
-  // caller for its own tallies. The returned reference is valid until the
-  // next drain; the two backing buffers ping-pong without reallocating.
+  // Hands the caller every completion record appended since the previous
+  // drain, in FIFO (= completion) order, and flushes the staged trace rows.
+  // The returned reference is valid until the next drain; the two backing
+  // buffers ping-pong without reallocating.
   const std::vector<CompletionRecord>& DrainCompletions();
-  // Tagged ops whose terminal outcome has not been drained yet.
+  // Terminated ops whose record has not been drained yet.
   size_t pending_completions() const { return completions_.size(); }
   // In-flight logical ops (arrived, not yet terminal).
   size_t in_flight_ops() const { return ops_.live(); }
@@ -239,6 +234,11 @@ class KvService {
   int64_t reads() const { return reads_; }
   int64_t writes() const { return writes_; }
   int64_t sheds() const { return sheds_; }
+  // FNV-1a fold over every terminated op's (key, issue time, completion
+  // time, outcome, attempts), in completion order: the op-level behaviour
+  // contract. It ignores how many events the service schedules, so a
+  // change that re-pins fire_digest must leave it unchanged.
+  uint64_t outcome_digest() const { return outcome_digest_; }
   int64_t peak_mirror_backlog() const { return peak_mirror_backlog_; }
 
   // SloTracker::Snapshot plus the retry policy's token-bucket state —
@@ -292,13 +292,13 @@ class KvService {
     uint8_t mirror = 0;      // writes: non-primary replica
   };
 
-  // Arrival bookkeeping shared by Get/Put/GetTagged/PutTagged: counters,
-  // SLO arrival, retry token, trace span, and a freshly allocated op row.
-  OpTable::Id BeginOp(uint64_t key, bool is_read, bool tagged, uint64_t tag,
-                      IoCallback done);
+  // Arrival bookkeeping shared by GetTagged/PutTagged: counters, SLO
+  // arrival, retry token, trace span, and a freshly allocated op row.
+  OpTable::Id BeginOp(uint64_t key, bool is_read, uint64_t tag);
 
-  // Logical-op completion: SLO accounting (or ring append for tagged ops) +
-  // trace span close + slot free + user done. `id` must be live.
+  // Logical-op completion, the only place an op terminates: SLO
+  // accounting, outcome-digest fold, slot free, ring append, and the
+  // staged trace row. `id` must be live.
   void FinishOp(OpTable::Id id, bool ok);
 
   // One admitted attempt against ctx.node: request over the switch,
@@ -371,12 +371,12 @@ class KvService {
   std::map<std::string, int> name_to_index_;
   ControlRoute control_route_;
 
-  // Columnar op core: slab table of in-flight ops + completion ring for
-  // tagged (coalesced-delivery) ops.
+  // Columnar op core: slab table of in-flight ops + completion ring.
   OpTable ops_;
   CompletionRing completions_;
   std::vector<CompletionRecord> drained_;
-  // Tagged-op trace rows staged between drains and bulk-appended to the
+  uint64_t outcome_digest_ = 14695981039346656037ull;  // FNV-1a offset basis
+  // Completion trace rows staged between drains and bulk-appended to the
   // recorder ring in one RecordN call per tick (recorder-on runs only) —
   // same events, one ring transaction instead of one per completion.
   std::vector<TraceEvent> trace_scratch_;

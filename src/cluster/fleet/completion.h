@@ -1,12 +1,10 @@
 // Coalesced completion delivery for the columnar serving front end.
 //
-// Instead of one SloTracker call + one std::function invocation per
-// finished op, tagged ops append a CompletionRecord to this ring and the
-// fleet drains it once per batch tick. Append order is completion order,
-// and the drain replays records FIFO through SloTracker::RecordBatch, so
-// every counter and the latency histogram's float accumulation are
-// bit-identical to the one-at-a-time path — coalescing changes *when* the
-// accounting happens, never *what* it says.
+// Instead of one std::function invocation per finished op, every op
+// appends a {tag, outcome} CompletionRecord to this ring as it completes
+// (after the service has recorded its SLO outcome) and the fleet drains
+// the ring once per batch tick into its own tallies. Append order is
+// completion order.
 #ifndef SRC_CLUSTER_FLEET_COMPLETION_H_
 #define SRC_CLUSTER_FLEET_COMPLETION_H_
 

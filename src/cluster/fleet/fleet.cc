@@ -30,11 +30,19 @@ ColumnarFleet::ColumnarFleet(Simulator& sim, ColumnarFleetParams params)
   }
 }
 
+ColumnarFleet::ColumnarFleet(Simulator& sim, const FleetParams& base)
+    : ColumnarFleet(sim, [&base] {
+        ColumnarFleetParams p;
+        p.base = base;
+        return p;
+      }()) {}
+
 void ColumnarFleet::Run(KvService& service,
                         std::function<void(const FleetResult&)> done) {
   service_ = &service;
   done_ = std::move(done);
   horizon_ = sim_.Now() + params_.base.run_for;
+  gen_.StartAt(sim_.Now());
   seq_.Start(&batch_.at, [this](size_t i) { IssueAt(i); },
              [this] { return Refill(); });
 }
@@ -45,7 +53,6 @@ size_t ColumnarFleet::Refill() {
   DrainTick();
   gen_.FillWindow(batch_, params_.window, horizon_);
   if (batch_.size() == 0) {
-    arrivals_done_ = true;
     TailTick();
     return 0;
   }

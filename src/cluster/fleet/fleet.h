@@ -1,28 +1,33 @@
-// The columnar open-loop serving front end.
+// The columnar open-loop serving front end: the one fleet every campaign,
+// example, bench and test drives.
 //
-// ColumnarFleet is the batched replacement for ClientFleet: arrivals are
-// generated a window at a time into SoA columns (ArrivalGenerator), one
-// BatchSequencer event walks the window issuing tagged ops against the
-// KvService's slab op table, and terminal outcomes come back coalesced —
-// the service appends CompletionRecords to its ring and the fleet drains
-// them once per window refill (plus a tail tick after arrivals end), batch-
-// feeding the SloTracker and its own tallies.
+// Arrivals are generated a window at a time into SoA columns
+// (ArrivalGenerator), one BatchSequencer event walks the window issuing
+// tagged ops against the KvService's slab op table, and terminal outcomes
+// come back coalesced: the service records each op's SLO outcome the
+// instant it completes and appends its {tag, outcome} to the completion
+// ring, and the fleet drains the ring once per window refill (plus a tail
+// tick after arrivals end) into its own tallies.
 //
 // Determinism contract (pinned by tests/fleet_test.cc):
 //   * In kPoisson mode the arrival times, keys, and op kinds are
-//     bit-identical to a ClientFleet on the same seed (see arrivals.h), so
-//     FleetResult counts and the final SloSnapshot/ReportJson match the
-//     legacy per-event path byte for byte. The simulator's fire_digest
-//     differs — the event *structure* is different by design — so the
-//     batched path carries its own pinned digest.
-//   * Coalescing only defers SLO accounting; drains replay completions in
-//     completion order, so even the latency histogram's float sum matches.
+//     bit-identical to a per-event fleet that draws each arrival at its
+//     fire time (see arrivals.h), so FleetResult counts and the final
+//     SloSnapshot/ReportJson match that fleet byte for byte. The
+//     simulator's fire_digest differs — the sequencer pump and the tail
+//     ticks are extra events — so the batched path carries its own pinned
+//     digest.
+//   * Coalescing defers only the fleet's tallies, never SLO accounting, so
+//     anything that reads the SloTracker mid-run (telemetry ticks, goodput
+//     probes) sees every op that has completed.
 //   * With num_clients > 0 every arrival is attributed to a client drawn
 //     from an independent stream; per-client tallies feed ClientDigest(),
 //     a scale-visible determinism witness for million-client cells.
 //
-// The fleet must be constructed after the KvService on a shared Simulator
-// (it forks the root RNG last), same as ClientFleet.
+// The fleet forks its streams off the simulator's root RNG when it is
+// constructed, so its place in the construction order fixes every stream
+// forked after it; Run may come later, and the arrival process starts
+// then.
 #ifndef SRC_CLUSTER_FLEET_FLEET_H_
 #define SRC_CLUSTER_FLEET_FLEET_H_
 
@@ -30,7 +35,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet/arrivals.h"
 #include "src/simcore/batch_sequencer.h"
@@ -43,7 +47,7 @@ struct ColumnarFleetParams {
   FleetParams base;
   // Arrivals generated per refill; the coalescing grain.
   size_t window = 4096;
-  // 0 = anonymous (bit-parity with ClientFleet's fork count); > 0 models a
+  // 0 = anonymous (two root forks, arrival then key); > 0 models a
   // population of independent clients whose ids tag every op.
   uint32_t num_clients = 0;
   ArrivalMode mode = ArrivalMode::kPoisson;
@@ -64,12 +68,15 @@ class ColumnarFleet {
  public:
   // Throws std::invalid_argument for a zero window, a non-positive
   // drain_every, or any arrival input ArrivalGenerator rejects; otherwise
-  // forks the arrival and key streams in ClientFleet's order.
+  // forks the arrival stream, then the key stream (then the client-id
+  // stream when num_clients > 0).
   ColumnarFleet(Simulator& sim, ColumnarFleetParams params);
+  // An anonymous kPoisson fleet with the default window and drain cadence.
+  ColumnarFleet(Simulator& sim, const FleetParams& base);
 
-  // Issues tagged arrivals against `service` until base.run_for elapses,
-  // then resolves `done` once every issued op has completed and every
-  // completion has been drained into the SloTracker.
+  // Issues tagged arrivals against `service` from now until base.run_for
+  // elapses, then resolves `done` once every issued op has completed and
+  // been drained from the completion ring.
   void Run(KvService& service, std::function<void(const FleetResult&)> done);
 
   const FleetResult& result() const { return result_; }
@@ -94,7 +101,6 @@ class ColumnarFleet {
 
   KvService* service_ = nullptr;
   SimTime horizon_;
-  bool arrivals_done_ = false;
   int64_t pending_ = 0;
   FleetResult result_;
   std::vector<ClientTally> tallies_;

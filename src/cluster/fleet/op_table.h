@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/devices/device.h"
 #include "src/simcore/time.h"
 
 namespace fst {
@@ -34,8 +33,7 @@ class OpTable {
   // Per-op flag bits (flags column).
   static constexpr uint8_t kIsRead = 1 << 0;
   static constexpr uint8_t kAdmittedAny = 1 << 1;
-  static constexpr uint8_t kTagged = 1 << 2;      // completion-ring delivery
-  static constexpr uint8_t kWaReported = 1 << 3;  // current write attempt done
+  static constexpr uint8_t kWaReported = 1 << 2;  // current write attempt done
 
   // O(1): pops the free list or appends one row to every column. Per-op
   // fields come back zeroed; the caller fills what it needs.
@@ -69,19 +67,16 @@ class OpTable {
       wa_completed.push_back(0);
       wa_ok.push_back(0);
       wa_quorum.push_back(0);
-      done.emplace_back();
     }
     ++live_;
     return MakeId(slot, gen_[slot]);
   }
 
   // Returns the slot to the free list and invalidates every outstanding id
-  // for it. The done callback is dropped eagerly so captured resources do
-  // not linger until slot reuse.
+  // for it.
   void Free(Id id) {
     const uint32_t slot = RawSlot(id);
     ++gen_[slot];
-    done[slot] = nullptr;
     free_.push_back(slot);
     --live_;
   }
@@ -109,7 +104,7 @@ class OpTable {
   std::vector<uint64_t> version;   // writes: the version this op installs
   std::vector<SimTime> t0;
   std::vector<uint64_t> trace_id;
-  std::vector<uint64_t> tag;       // tagged ops: caller context (client id)
+  std::vector<uint64_t> tag;       // caller context (client id)
   std::vector<int32_t> attempts;
   std::vector<uint8_t> flags;
   // Current write attempt's quorum bookkeeping (reset per attempt).
@@ -117,8 +112,6 @@ class OpTable {
   std::vector<int16_t> wa_completed;
   std::vector<int16_t> wa_ok;
   std::vector<int16_t> wa_quorum;
-  // Per-op user callback; empty for tagged (ring-delivered) ops.
-  std::vector<IoCallback> done;
 
  private:
   static Id MakeId(uint32_t slot, uint32_t gen) {

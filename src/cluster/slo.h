@@ -8,7 +8,6 @@
 #ifndef SRC_CLUSTER_SLO_H_
 #define SRC_CLUSTER_SLO_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -17,17 +16,15 @@
 
 namespace fst {
 
-// Terminal outcome kinds for coalesced completion delivery.
+// Terminal outcome kinds of one op.
 enum class SloOutcome : uint8_t { kAck = 0, kShed = 1, kError = 2 };
 
 // One terminal op outcome as appended to a completion ring by the serving
-// layer and drained in FIFO order by the batch tick. `tag` is caller
-// context (op id / client id) the tracker itself ignores.
+// layer and drained in FIFO (= completion) order by the front end. `tag`
+// is caller context (a client id). The SloTracker has already counted the
+// op by the time its record is appended.
 struct CompletionRecord {
   uint64_t tag = 0;
-  SimTime issued;
-  SimTime completed;
-  int32_t attempts = 1;
   SloOutcome outcome = SloOutcome::kAck;
 };
 
@@ -131,27 +128,6 @@ class SloTracker {
   double P95Ms() const { return latency_.ValueAtQuantile(0.95) / 1e6; }
   double P99Ms() const { return latency_.ValueAtQuantile(0.99) / 1e6; }
   double P999Ms() const { return latency_.ValueAtQuantile(0.999) / 1e6; }
-
-  // Batch-record path for coalesced completions: applies `n` terminal
-  // outcomes in array (FIFO) order through the exact same per-record
-  // transitions as the one-at-a-time calls, so counters, histogram sum,
-  // and quantiles are bit-identical to the inline stream.
-  void RecordBatch(const CompletionRecord* recs, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      const CompletionRecord& r = recs[i];
-      switch (r.outcome) {
-        case SloOutcome::kAck:
-          RecordAck(r.completed - r.issued, r.attempts);
-          break;
-        case SloOutcome::kShed:
-          RecordShed(r.attempts);
-          break;
-        case SloOutcome::kError:
-          RecordError(r.attempts);
-          break;
-      }
-    }
-  }
 
   // One consistent read of all counters + quantiles.
   SloSnapshot Snapshot() const;

@@ -1,12 +1,12 @@
 #include "src/resilience/campaign.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <utility>
 
-#include "src/cluster/client.h"
+#include "src/chaos/campaign.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/core/policy.h"
 #include "src/devices/disk.h"
 #include "src/devices/network.h"
@@ -95,7 +95,7 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
   for (const SurgeWindow& w : surges) {
     fleet_params.surges.push_back({w.at, w.duration, w.factor});
   }
-  ClientFleet fleet(sim, fleet_params);
+  ColumnarFleet fleet(sim, fleet_params);
 
   ClusterParams cluster;
   cluster.nodes = p.nodes;
@@ -193,6 +193,7 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
   sim.Run();
 
   out.fire_digest = sim.fire_digest();
+  out.outcome_digest = svc.outcome_digest();
   out.goodput_per_sec = svc.slo().GoodputPerSec(p.run_for);
   out.retries = svc.slo().retries();
   const SloSnapshot snap = svc.SloWithRetry();
@@ -226,84 +227,13 @@ ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
     out.gray_exposure_s += (s.end - s.start).ToSeconds();
   }
 
-  // Detection-quality invariants, as in the chaos campaign. Every crash in
-  // these cells — including the rejuvenation pattern's proactive restarts,
-  // which ride the same injector lifecycle — keeps its node down past the
-  // liveness timeout, so an undetected crash is a detector bug.
-  if (out.scorecard.detected + out.scorecard.missed != out.scorecard.faults) {
-    out.violations.push_back(
-        "scorecard count mismatch: detected " +
-        std::to_string(out.scorecard.detected) + " + missed " +
-        std::to_string(out.scorecard.missed) + " != faults " +
-        std::to_string(out.scorecard.faults));
-  }
-  for (const FaultRecord& f : rep.faults) {
-    if (f.kind == "crash-restart" && !f.detected) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "crash on %s at %.3fs never detected",
-                    f.device.c_str(), f.injected_at.ToSeconds());
-      out.violations.push_back(buf);
-    }
-  }
-
-  if (p.control_plane) {
-    for (std::string& v : group->CheckInvariants(Duration::Seconds(3.0))) {
-      out.violations.push_back(std::move(v));
-    }
-    const ControlState& feed = group->replica(0).state();
-    if (svc.shard_map().OwnershipDigest() != feed.map().OwnershipDigest()) {
-      out.violations.push_back(
-          "serving shard map diverged from feed replica applied state");
-    }
-    for (int i = 0; i < p.nodes; ++i) {
-      if (svc.selector().WeightOf(i) != feed.weight(i)) {
-        char buf[112];
-        std::snprintf(buf, sizeof(buf),
-                      "node%d serving weight %.6f != committed %.6f", i,
-                      svc.selector().WeightOf(i), feed.weight(i));
-        out.violations.push_back(buf);
-      }
-    }
-    if (group->pending_proposals() != 0) {
-      out.violations.push_back(
-          std::to_string(group->pending_proposals()) +
-          " control proposals never committed by end of run");
-    }
-  }
-
-  // The robustness invariants every cell must satisfy regardless of
-  // pattern: durability, repair, convergence.
-  if (out.lost_acked > 0) {
-    out.violations.push_back("lost_acked_writes=" +
-                             std::to_string(out.lost_acked));
-  }
-  if (out.under_replicated > 0) {
-    out.violations.push_back("under_replicated_keys=" +
-                             std::to_string(out.under_replicated));
-  }
-  for (int i = 0; i < p.nodes; ++i) {
-    const std::string name = "node" + std::to_string(i);
-    const PerfState st = svc.registry().StateOf(name);
-    if (svc.node(i)->has_failed()) {
-      out.violations.push_back(name + " still down at end of run");
-      continue;
-    }
-    if (st == PerfState::kFailed) {
-      out.violations.push_back(name + " stuck kFailed though the device is up");
-    }
-    const bool ejected = svc.shard_map().IsEjected(i);
-    if (ejected && st != PerfState::kStuttering) {
-      out.violations.push_back(name + " ejected though state is " +
-                               PerfStateName(st));
-    }
-    if (st == PerfState::kHealthy && !ejected &&
-        std::fabs(svc.selector().WeightOf(i) - 1.0) > 1e-9) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "%s healthy but weight %.4f != 1.0",
-                    name.c_str(), svc.selector().WeightOf(i));
-      out.violations.push_back(buf);
-    }
-  }
+  // The chaos campaign's invariants. Every crash in these cells —
+  // including the rejuvenation pattern's proactive restarts, which ride
+  // the same injector lifecycle — keeps its node down past the liveness
+  // timeout, so an undetected crash is a detector bug.
+  CheckRunInvariants(svc, out.lost_acked, out.under_replicated, &rep,
+                     &out.scorecard, group.get(), Duration::Seconds(3.0),
+                     out.violations);
   out.ok = out.violations.empty();
   return out;
 }

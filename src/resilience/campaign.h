@@ -116,6 +116,7 @@ struct ResilienceCellOutcome {
   std::vector<std::string> violations;
   std::string dsl;
   uint64_t fire_digest = 0;
+  uint64_t outcome_digest = 0;  // KvService::outcome_digest()
   double goodput_per_sec = 0.0;
   int64_t retries = 0;
   int64_t denied_budget = 0;

@@ -18,8 +18,8 @@
 
 #include "src/chaos/campaign.h"
 #include "src/chaos/scenario.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/cluster/retry.h"
 #include "src/core/perf_spec.h"
 #include "src/core/policy.h"
@@ -498,7 +498,7 @@ TEST(CrashRecoveryTest, ServiceHealsAfterScriptedCrash) {
   fleet_params.run_for = Duration::Seconds(12.0);
   fleet_params.read_fraction = 0.7;
   fleet_params.key_space = 200;
-  ClientFleet fleet(sim, fleet_params);
+  ColumnarFleet fleet(sim, fleet_params);
 
   ClusterParams params;
   params.nodes = 4;
@@ -570,19 +570,18 @@ TEST(CrashRecoveryTest, UndetectedShortCrashIsStillRepaired) {
     KvService svc(sim, params, std::make_unique<ProportionalSharePolicy>());
     svc.StartRecovery(At(10.0));
 
-    int acked = 0;
     for (uint64_t key = 0; key < 200; ++key) {
       sim.ScheduleAt(At(0.010 * static_cast<double>(key)),
-                     [&svc, &acked, key] {
-                       svc.Put(key, [&acked](const IoResult& r) {
-                         acked += r.ok ? 1 : 0;
-                       });
-                     });
+                     [&svc, key] { svc.PutTagged(key, key); });
     }
     sim.ScheduleAt(At(5.010), [&svc] { svc.node(1)->FailStop(); });
     sim.ScheduleAt(At(c.restart_at), [&svc] { svc.node(1)->Restart(); });
     sim.Run();
 
+    int acked = 0;
+    for (const CompletionRecord& r : svc.DrainCompletions()) {
+      acked += r.outcome == SloOutcome::kAck ? 1 : 0;
+    }
     EXPECT_EQ(acked, 200);
     EXPECT_EQ(svc.crashes(), 1);
     EXPECT_EQ(svc.recoveries(), 0);
@@ -631,13 +630,13 @@ E23Outcome RunE23Arm(bool with_recovery, bool with_crash) {
   write_phase.read_fraction = 0.0;
   write_phase.key_space = 250;
   write_phase.zipf_s = 0.0;  // uniform: every key gets written w.h.p.
-  ClientFleet writers(sim, write_phase);
+  ColumnarFleet writers(sim, write_phase);
 
   FleetParams read_phase = write_phase;
   read_phase.arrivals_per_sec = 300.0;
   read_phase.run_for = Duration::Seconds(25.0);
   read_phase.read_fraction = 1.0;
-  ClientFleet readers(sim, read_phase);
+  ColumnarFleet readers(sim, read_phase);
 
   ClusterParams params;
   params.nodes = 4;

@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/cluster/selector.h"
 #include "src/devices/modulators.h"
 #include "src/faults/catalog.h"
@@ -368,6 +368,7 @@ struct ServeOut {
   double p99_ms = 0.0;
   double p999_ms = 0.0;
   uint64_t digest = 0;
+  uint64_t outcome_digest = 0;
   std::string json;
 };
 
@@ -392,7 +393,7 @@ ServeOut RunServe(const ServeConfig& cfg) {
   fp.run_for = Duration::Seconds(cfg.seconds);
   fp.read_fraction = 1.0;
   fp.zipf_s = 0.0;  // uniform keys keep the closed form clean
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, fp);
 
   ClusterParams cp;
   cp.nodes = 4;
@@ -441,6 +442,7 @@ ServeOut RunServe(const ServeConfig& cfg) {
   out.p99_ms = svc.slo().P99Ms();
   out.p999_ms = svc.slo().P999Ms();
   out.digest = sim.fire_digest();
+  out.outcome_digest = svc.outcome_digest();
   out.json = svc.slo().ReportJson(fp.run_for);
   return out;
 }
@@ -582,7 +584,7 @@ TEST(ClusterHedgeTest, HedgedReadsEngageAndReconcile) {
   fp.arrivals_per_sec = cfg.lambda;
   fp.run_for = Duration::Seconds(cfg.seconds);
   fp.zipf_s = 0.0;
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, fp);
   ClusterParams cp;
   cp.nodes = 4;
   cp.route = RouteMode::kQueueWeighted;
@@ -605,11 +607,14 @@ TEST(ClusterHedgeTest, HedgedReadsEngageAndReconcile) {
 // Determinism
 // ---------------------------------------------------------------------------
 
-// Golden digest of one full serving run (seed 21, GC fault, proportional
-// share). Pins the entire event sequence — scheduler, switch, nodes,
-// detector windows, policy reactions — so cluster changes cannot silently
-// reorder the serving path.
-constexpr uint64_t kServeRunDigest = 0xf50ce8c281c58398ULL;
+// Golden digests of one full serving run (seed 21, GC fault, proportional
+// share). The fire digest pins the entire event sequence — scheduler,
+// switch, nodes, detector windows, policy reactions — so cluster changes
+// cannot silently reorder the serving path. The outcome digest pins every
+// op's key, issue and completion instant, outcome and attempt count: a
+// change may re-pin the fire digest only if it leaves this one alone.
+constexpr uint64_t kServeRunDigest = 0xe1375f7bc96026bfULL;
+constexpr uint64_t kServeRunOutcomeDigest = 0x3004a68e6dce26faULL;
 
 TEST(ClusterDeterminismTest, ServingRunsAreBitIdenticalAndPinned) {
   ServeConfig cfg;
@@ -625,6 +630,8 @@ TEST(ClusterDeterminismTest, ServingRunsAreBitIdenticalAndPinned) {
   EXPECT_EQ(a.digest, kServeRunDigest)
       << "serving-path event order changed; if intentional, re-pin with the "
          "new digest: 0x" << std::hex << a.digest;
+  EXPECT_EQ(a.outcome_digest, kServeRunOutcomeDigest)
+      << "op outcomes changed: 0x" << std::hex << a.outcome_digest;
 }
 
 // Golden digest of a plain-service run that ejects and un-ejects (seed
@@ -632,7 +639,8 @@ TEST(ClusterDeterminismTest, ServingRunsAreBitIdenticalAndPinned) {
 // rejoins, so reads route across ShardMap epoch moves, not only across
 // the weight changes kServeRunDigest pins. Routing that kept using a
 // replica set after the ring moved changes this digest but not that one.
-constexpr uint64_t kEjectRunDigest = 0x0914277ea07263b3ULL;
+constexpr uint64_t kEjectRunDigest = 0x3d64e7d666332b2eULL;
+constexpr uint64_t kEjectRunOutcomeDigest = 0x69354aa91aaae607ULL;
 
 TEST(ClusterDeterminismTest, EjectingRunIsBitIdenticalAndPinned) {
   ServeConfig cfg;
@@ -651,6 +659,8 @@ TEST(ClusterDeterminismTest, EjectingRunIsBitIdenticalAndPinned) {
       << "serving-path event order changed; if intentional, re-pin with the "
          "new digest: 0x" << std::hex << a.digest << std::dec
       << " rebalances=" << a.rebalances;
+  EXPECT_EQ(a.outcome_digest, kEjectRunOutcomeDigest)
+      << "op outcomes changed: 0x" << std::hex << a.outcome_digest;
 }
 
 TEST(ClusterDeterminismTest, SweepThreadCountInvariance) {
@@ -700,7 +710,7 @@ ParityOut RunClusterParity(uint64_t seed, double rate, double secs,
   fp.run_for = Duration::Seconds(secs);
   fp.read_fraction = 0.0;  // puts only, like the DDS workload
   fp.zipf_s = 0.0;
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, fp);
 
   ClusterParams cp;
   cp.nodes = 2;

@@ -1,6 +1,6 @@
 // Tests for the columnar client/op core: batched arrivals, the slab op
-// table, coalesced completions, and their bit-parity with the legacy
-// per-event serving front end.
+// table, coalesced completions, and their bit-parity with a per-event
+// reference fleet.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet/arrivals.h"
 #include "src/cluster/fleet/fleet.h"
@@ -121,125 +120,6 @@ TEST(RecordNTest, ZeroCountIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// SloTracker::RecordBatch
-// ---------------------------------------------------------------------------
-
-TEST(RecordBatchTest, MatchesInlineStreamByteForByte) {
-  SloTracker inline_t(Duration::Millis(300));
-  SloTracker batch_t(Duration::Millis(300));
-  Rng rng(11);
-  std::vector<CompletionRecord> recs;
-  for (int i = 0; i < 500; ++i) {
-    CompletionRecord r;
-    r.issued = SimTime::Zero() + Duration::Millis(i);
-    r.completed =
-        r.issued + Duration::Nanos(rng.UniformInt(1000, 900'000'000));
-    r.attempts = static_cast<int32_t>(rng.UniformInt(1, 4));
-    const int64_t kind = rng.UniformInt(0, 9);
-    r.outcome = kind == 0   ? SloOutcome::kShed
-                : kind == 1 ? SloOutcome::kError
-                            : SloOutcome::kAck;
-    recs.push_back(r);
-    inline_t.RecordArrival();
-    batch_t.RecordArrival();
-  }
-  for (const CompletionRecord& r : recs) {
-    switch (r.outcome) {
-      case SloOutcome::kAck:
-        inline_t.RecordAck(r.completed - r.issued, r.attempts);
-        break;
-      case SloOutcome::kShed:
-        inline_t.RecordShed(r.attempts);
-        break;
-      case SloOutcome::kError:
-        inline_t.RecordError(r.attempts);
-        break;
-    }
-  }
-  batch_t.RecordBatch(recs.data(), recs.size());
-  EXPECT_EQ(inline_t.ReportJson(Duration::Seconds(10)),
-            batch_t.ReportJson(Duration::Seconds(10)));
-}
-
-// A deliberately mixed batch — first-try acks, retried acks, exhausted
-// sheds/errors, and first-try failures interleaved — must split the
-// attempt accounting exactly as the scalar calls do, field by field.
-TEST(RecordBatchTest, MixedOutcomeBatchSplitsAttemptAccounting) {
-  SloTracker inline_t(Duration::Millis(100));
-  SloTracker batch_t(Duration::Millis(100));
-  // (attempts, outcome, latency_ms): cycle through every accounting class,
-  // including a late ack (150 ms > 100 ms deadline).
-  struct Row {
-    int attempts;
-    SloOutcome outcome;
-    int64_t latency_ms;
-  };
-  const std::vector<Row> rows = {
-      {1, SloOutcome::kAck, 5},     // first-try ack, in deadline
-      {3, SloOutcome::kAck, 40},    // retried ack
-      {4, SloOutcome::kShed, 0},    // exhausted shed
-      {1, SloOutcome::kShed, 0},    // first-try shed (not exhausted)
-      {2, SloOutcome::kError, 0},   // exhausted error
-      {1, SloOutcome::kAck, 150},   // first-try ack, late
-      {2, SloOutcome::kAck, 150},   // retried ack, late
-      {1, SloOutcome::kError, 0},   // first-try error (not exhausted)
-  };
-  std::vector<CompletionRecord> recs;
-  SimTime t = SimTime::Zero();
-  for (const Row& row : rows) {
-    for (int rep = 0; rep < 7; ++rep) {
-      t = t + Duration::Millis(1);
-      CompletionRecord r;
-      r.issued = t;
-      r.completed = t + Duration::Millis(row.latency_ms);
-      r.attempts = row.attempts;
-      r.outcome = row.outcome;
-      recs.push_back(r);
-      inline_t.RecordArrival();
-      batch_t.RecordArrival();
-    }
-  }
-  for (const CompletionRecord& r : recs) {
-    switch (r.outcome) {
-      case SloOutcome::kAck:
-        inline_t.RecordAck(r.completed - r.issued, r.attempts);
-        break;
-      case SloOutcome::kShed:
-        inline_t.RecordShed(r.attempts);
-        break;
-      case SloOutcome::kError:
-        inline_t.RecordError(r.attempts);
-        break;
-    }
-  }
-  batch_t.RecordBatch(recs.data(), recs.size());
-
-  const SloSnapshot a = inline_t.Snapshot();
-  const SloSnapshot b = batch_t.Snapshot();
-  EXPECT_EQ(b.arrivals, a.arrivals);
-  EXPECT_EQ(b.acks, a.acks);
-  EXPECT_EQ(b.goodput, a.goodput);
-  EXPECT_EQ(b.late, a.late);
-  EXPECT_EQ(b.shed, a.shed);
-  EXPECT_EQ(b.errors, a.errors);
-  EXPECT_EQ(b.first_try_acks, a.first_try_acks);
-  EXPECT_EQ(b.retried_acks, a.retried_acks);
-  EXPECT_EQ(b.exhausted, a.exhausted);
-  EXPECT_EQ(b.retries, a.retries);
-  EXPECT_EQ(b.ack_attempts, a.ack_attempts);
-  EXPECT_EQ(b.shed_attempts, a.shed_attempts);
-  EXPECT_EQ(b.error_attempts, a.error_attempts);
-  // Sanity against hand counts: 7 of each row class.
-  EXPECT_EQ(b.first_try_acks, 14);  // rows 0 and 5
-  EXPECT_EQ(b.retried_acks, 14);    // rows 1 and 6
-  EXPECT_EQ(b.exhausted, 14);       // rows 2 and 4
-  EXPECT_EQ(b.late, 14);            // rows 5 and 6
-  EXPECT_EQ(b.retries, 7 * (2 + 3 + 1 + 1));
-  EXPECT_EQ(b.p50_ms, a.p50_ms);
-  EXPECT_EQ(b.p99_ms, a.p99_ms);
-}
-
-// ---------------------------------------------------------------------------
 // FleetParams validation + run_for == 0 edges
 // ---------------------------------------------------------------------------
 
@@ -247,23 +127,31 @@ TEST(FleetValidationTest, RejectsDegenerateParams) {
   Simulator sim(1);
   FleetParams fp;
   fp.arrivals_per_sec = 0.0;  // the old divide-by-zero feeding Exponential
-  EXPECT_THROW(ClientFleet(sim, fp), std::invalid_argument);
+  EXPECT_THROW(ColumnarFleet(sim, fp), std::invalid_argument);
   fp.arrivals_per_sec = -5.0;
-  EXPECT_THROW(ClientFleet(sim, fp), std::invalid_argument);
+  EXPECT_THROW(ColumnarFleet(sim, fp), std::invalid_argument);
   fp.arrivals_per_sec = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(ClientFleet(sim, fp), std::invalid_argument);
+  EXPECT_THROW(ColumnarFleet(sim, fp), std::invalid_argument);
   fp = FleetParams{};
   fp.read_fraction = 1.5;
-  EXPECT_THROW(ClientFleet(sim, fp), std::invalid_argument);
+  EXPECT_THROW(ColumnarFleet(sim, fp), std::invalid_argument);
   fp = FleetParams{};
   fp.read_fraction = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(ClientFleet(sim, fp), std::invalid_argument);
+  EXPECT_THROW(ColumnarFleet(sim, fp), std::invalid_argument);
   fp = FleetParams{};
   fp.key_space = 0;
-  EXPECT_THROW(ClientFleet(sim, fp), std::invalid_argument);
+  EXPECT_THROW(ColumnarFleet(sim, fp), std::invalid_argument);
   fp = FleetParams{};
   fp.run_for = Duration::Seconds(-1.0);
-  EXPECT_THROW(ClientFleet(sim, fp), std::invalid_argument);
+  EXPECT_THROW(ColumnarFleet(sim, fp), std::invalid_argument);
+  fp = FleetParams{};
+  fp.surges = {{Duration::Seconds(1.0), Duration::Seconds(1.0), 0.0}};
+  EXPECT_THROW(ColumnarFleet(sim, fp), std::invalid_argument);
+  fp.surges = {{Duration::Seconds(1.0), Duration::Seconds(1.0),
+                std::numeric_limits<double>::quiet_NaN()}};
+  EXPECT_THROW(ColumnarFleet(sim, fp), std::invalid_argument);
+  fp.surges = {{Duration::Seconds(-1.0), Duration::Seconds(1.0), 2.0}};
+  EXPECT_THROW(ColumnarFleet(sim, fp), std::invalid_argument);
 
   ColumnarFleetParams cfp;
   cfp.window = 0;
@@ -284,8 +172,11 @@ TEST(FleetValidationTest, RejectsDegenerateParams) {
   cfp.phases = {{std::numeric_limits<double>::infinity(), 1.0}};
   EXPECT_THROW(ColumnarFleet(sim, cfp), std::invalid_argument);
   cfp = ColumnarFleetParams{};
-  // The generator serves the base rate only; a surge would be dropped.
+  // Surges are a kPoisson feature; MMPP phases would silently override them.
   cfp.base.surges = {{Duration::Seconds(1.0), Duration::Seconds(1.0), 2.0}};
+  EXPECT_NO_THROW(ColumnarFleet(sim, cfp));
+  cfp.mode = ArrivalMode::kMmpp;
+  cfp.phases = {{300.0, 1.0}};
   EXPECT_THROW(ColumnarFleet(sim, cfp), std::invalid_argument);
 
   // The generator validates its own inputs: tests and benches build it
@@ -307,41 +198,49 @@ TEST(FleetValidationTest, RejectsDegenerateParams) {
   EXPECT_THROW(gen(fp, ArrivalMode::kMmpp, {{300.0, 0.0}}),
                std::invalid_argument);
   fp.surges = {{Duration::Seconds(1.0), Duration::Seconds(1.0), 2.0}};
-  EXPECT_THROW(gen(fp, ArrivalMode::kPoisson, {}), std::invalid_argument);
+  EXPECT_NO_THROW(gen(fp, ArrivalMode::kPoisson, {}));
+  EXPECT_THROW(gen(fp, ArrivalMode::kMmpp, {{300.0, 1.0}}),
+               std::invalid_argument);
   fp = FleetParams{};
   EXPECT_NO_THROW(gen(fp, ArrivalMode::kPoisson, {}));
   EXPECT_NO_THROW(gen(fp, ArrivalMode::kMmpp, {{300.0, 1.0}}));
 }
 
 TEST(FleetValidationTest, ZeroHorizonResolvesDoneWithZeroOps) {
-  {
-    Simulator sim(5);
-    ClusterParams cp;
-    KvService svc(sim, cp, std::make_unique<IgnoreStutterPolicy>());
-    FleetParams fp;
-    fp.run_for = Duration::Zero();
-    ClientFleet fleet(sim, fp);
-    bool finished = false;
-    fleet.Run(svc, [&](const FleetResult& r) {
-      finished = true;
-      EXPECT_EQ(r.ops_issued, 0);
-    });
-    RunAndExpect(sim, finished);
-  }
-  {
-    Simulator sim(5);
-    ClusterParams cp;
-    KvService svc(sim, cp, std::make_unique<IgnoreStutterPolicy>());
-    ColumnarFleetParams cfp;
-    cfp.base.run_for = Duration::Zero();
-    ColumnarFleet fleet(sim, cfp);
-    bool finished = false;
-    fleet.Run(svc, [&](const FleetResult& r) {
-      finished = true;
-      EXPECT_EQ(r.ops_issued, 0);
-    });
-    RunAndExpect(sim, finished);
-  }
+  Simulator sim(5);
+  ClusterParams cp;
+  KvService svc(sim, cp, std::make_unique<IgnoreStutterPolicy>());
+  ColumnarFleetParams cfp;
+  cfp.base.run_for = Duration::Zero();
+  ColumnarFleet fleet(sim, cfp);
+  bool finished = false;
+  fleet.Run(svc, [&](const FleetResult& r) {
+    finished = true;
+    EXPECT_EQ(r.ops_issued, 0);
+  });
+  RunAndExpect(sim, finished);
+}
+
+// A positive rate so small that its first gap does not fit a Duration:
+// that gap is the horizon-crossing draw, never an out-of-range double ->
+// int64 cast (the UBSan job's float-cast-overflow check catches one).
+TEST(FleetValidationTest, TinyRatesYieldNoArrivals) {
+  const auto fill = [](const FleetParams& base, ArrivalMode mode,
+                       std::vector<MmppPhase> phases) {
+    Simulator sim(9);
+    ArrivalGenerator gen(sim, base, mode, std::move(phases), 0);
+    ArrivalBatch batch;
+    EXPECT_FALSE(gen.FillWindow(batch, 64, sim.Now() + base.run_for));
+    return batch.size();
+  };
+  FleetParams fp;
+  fp.run_for = Duration::Seconds(10.0);
+  fp.arrivals_per_sec = 1e-300;
+  EXPECT_EQ(fill(fp, ArrivalMode::kPoisson, {}), 0u);
+  fp.arrivals_per_sec = 300.0;
+  EXPECT_EQ(fill(fp, ArrivalMode::kMmpp, {{1e-300, 1e300}}), 0u);
+  fp.surges = {{Duration::Zero(), Duration::Seconds(10.0), 1e-300}};
+  EXPECT_EQ(fill(fp, ArrivalMode::kPoisson, {}), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,8 +320,87 @@ TEST(BatchSequencerTest, FiresEveryIndexAtItsDueTimeAcrossRefills) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar vs legacy per-event parity
+// Columnar vs per-event reference parity
 // ---------------------------------------------------------------------------
+
+// The per-event open-loop fleet the columnar front end replaced, kept as
+// the reference it is checked against: one simulator event per arrival,
+// which draws the next gap (at the rate of the last surge window covering
+// that instant), then the op's key and read/write coin, at fire time, off
+// two streams forked in the same order as ArrivalGenerator's.
+class ReferenceFleet {
+ public:
+  ReferenceFleet(Simulator& sim, const FleetParams& params)
+      : sim_(sim), params_(params), arrival_rng_(sim.rng().Fork()),
+        key_rng_(sim.rng().Fork()),
+        zipf_(params.key_space, params.zipf_s > 0.0 ? params.zipf_s : 0.0) {}
+
+  // Issues arrivals against `service` from now until run_for elapses.
+  void Run(KvService& service) {
+    service_ = &service;
+    start_ = sim_.Now();
+    horizon_ = start_ + params_.run_for;
+    ScheduleNext();
+  }
+
+  // Tallies every outcome the service has appended since the last call.
+  const FleetResult& Drain() {
+    for (const CompletionRecord& r : service_->DrainCompletions()) {
+      ++(r.outcome == SloOutcome::kAck ? result_.ops_ok : result_.ops_failed);
+    }
+    return result_;
+  }
+
+  // Every issued arrival, in issue order.
+  ArrivalBatch issued;
+
+ private:
+  void ScheduleNext() {
+    double factor = 1.0;
+    const Duration since_start = sim_.Now() - start_;
+    for (const ArrivalSurge& s : params_.surges) {
+      if (since_start >= s.at && since_start < s.at + s.duration) {
+        factor = s.factor;
+      }
+    }
+    const SimTime at =
+        sim_.Now() + Duration::Seconds(arrival_rng_.Exponential(
+                         1.0 / (params_.arrivals_per_sec * factor)));
+    if (at > horizon_) {
+      return;
+    }
+    sim_.ScheduleAt(at, [this] {
+      Issue();
+      ScheduleNext();
+    });
+  }
+
+  void Issue() {
+    const uint64_t key = static_cast<uint64_t>(zipf_.Sample(key_rng_));
+    const bool is_read = key_rng_.UniformDouble() < params_.read_fraction;
+    issued.at.push_back(sim_.Now());
+    issued.key.push_back(key);
+    issued.is_read.push_back(is_read ? 1 : 0);
+    ++result_.ops_issued;
+    if (is_read) {
+      ++result_.reads_issued;
+      service_->GetTagged(key, 0);
+    } else {
+      ++result_.writes_issued;
+      service_->PutTagged(key, 0);
+    }
+  }
+
+  Simulator& sim_;
+  FleetParams params_;
+  Rng arrival_rng_;
+  Rng key_rng_;
+  ZipfGenerator zipf_;
+  KvService* service_ = nullptr;
+  SimTime start_;
+  SimTime horizon_;
+  FleetResult result_;
+};
 
 std::unique_ptr<ReactionPolicy> MakePolicy(int kind) {
   switch (kind) {
@@ -447,6 +425,7 @@ struct CellCfg {
   bool retry = false;
   uint32_t num_clients = 0;
   size_t window = 512;
+  std::vector<ArrivalSurge> surges;
 };
 
 struct CellOut {
@@ -459,8 +438,11 @@ struct CellOut {
   int reweights = 0;
   uint64_t digest = 0;
   uint64_t client_digest = 0;
+  uint64_t outcome_digest = 0;
 };
 
+// One serving cell, driven by the ColumnarFleet or (columnar == false) by
+// the per-event ReferenceFleet.
 CellOut RunCell(const CellCfg& cfg, bool columnar) {
   Simulator sim(cfg.seed);
   ClusterParams cp;
@@ -490,6 +472,7 @@ CellOut RunCell(const CellCfg& cfg, bool columnar) {
   fp.run_for = Duration::Seconds(cfg.seconds);
   fp.read_fraction = cfg.read_fraction;
   fp.zipf_s = 1.1;
+  fp.surges = cfg.surges;
 
   CellOut out;
   bool finished = false;
@@ -506,12 +489,11 @@ CellOut RunCell(const CellCfg& cfg, bool columnar) {
     sim.Run();
     out.client_digest = fleet.ClientDigest();
   } else {
-    ClientFleet fleet(sim, fp);
-    fleet.Run(svc, [&](const FleetResult& r) {
-      out.fleet = r;
-      finished = true;
-    });
+    ReferenceFleet fleet(sim, fp);
+    fleet.Run(svc);
     sim.Run();
+    out.fleet = fleet.Drain();
+    finished = true;  // no done callback: sim.Run() returned drained
   }
   EXPECT_TRUE(finished) << "fleet did not drain";
   out.slo_json = svc.slo().ReportJson(fp.run_for);
@@ -521,24 +503,26 @@ CellOut RunCell(const CellCfg& cfg, bool columnar) {
   out.ejections = svc.ejections();
   out.reweights = svc.reweights();
   out.digest = sim.fire_digest();
+  out.outcome_digest = svc.outcome_digest();
   return out;
 }
 
 void ExpectParity(const CellCfg& cfg) {
-  const CellOut legacy = RunCell(cfg, /*columnar=*/false);
+  const CellOut ref = RunCell(cfg, /*columnar=*/false);
   const CellOut col = RunCell(cfg, /*columnar=*/true);
-  EXPECT_EQ(legacy.fleet.ops_issued, col.fleet.ops_issued);
-  EXPECT_EQ(legacy.fleet.reads_issued, col.fleet.reads_issued);
-  EXPECT_EQ(legacy.fleet.writes_issued, col.fleet.writes_issued);
-  EXPECT_EQ(legacy.fleet.ops_ok, col.fleet.ops_ok);
-  EXPECT_EQ(legacy.fleet.ops_failed, col.fleet.ops_failed);
-  EXPECT_EQ(legacy.slo_json, col.slo_json)
-      << "SLO accounting must be byte-identical across front ends";
-  EXPECT_EQ(legacy.reads, col.reads);
-  EXPECT_EQ(legacy.writes, col.writes);
-  EXPECT_EQ(legacy.sheds, col.sheds);
-  EXPECT_EQ(legacy.ejections, col.ejections);
-  EXPECT_EQ(legacy.reweights, col.reweights);
+  EXPECT_EQ(ref.fleet.ops_issued, col.fleet.ops_issued);
+  EXPECT_EQ(ref.fleet.reads_issued, col.fleet.reads_issued);
+  EXPECT_EQ(ref.fleet.writes_issued, col.fleet.writes_issued);
+  EXPECT_EQ(ref.fleet.ops_ok, col.fleet.ops_ok);
+  EXPECT_EQ(ref.fleet.ops_failed, col.fleet.ops_failed);
+  EXPECT_EQ(ref.slo_json, col.slo_json)
+      << "SLO accounting must be byte-identical across fleets";
+  EXPECT_EQ(ref.outcome_digest, col.outcome_digest);
+  EXPECT_EQ(ref.reads, col.reads);
+  EXPECT_EQ(ref.writes, col.writes);
+  EXPECT_EQ(ref.sheds, col.sheds);
+  EXPECT_EQ(ref.ejections, col.ejections);
+  EXPECT_EQ(ref.reweights, col.reweights);
 }
 
 TEST(ColumnarParityTest, ReadOnlyCellsMatchLegacyAcrossPoliciesAndSeeds) {
@@ -577,6 +561,63 @@ TEST(ColumnarParityTest, ClientAttributionDoesNotPerturbServing) {
   ExpectParity(cfg);
 }
 
+// Overlapping windows (the later one wins where both cover an instant),
+// one of them a slowdown, and one reaching past the horizon.
+std::vector<ArrivalSurge> TestSurges() {
+  return {{Duration::Seconds(2.0), Duration::Seconds(3.0), 2.5},
+          {Duration::Seconds(4.0), Duration::Seconds(1.0), 0.5},
+          {Duration::Seconds(8.5), Duration::Seconds(5.0), 1.5}};
+}
+
+TEST(ColumnarParityTest, SurgedArrivalsMatchReference) {
+  CellCfg cfg;
+  cfg.read_fraction = 0.7;
+  cfg.retry = true;
+  cfg.seed = 6;
+  cfg.surges = TestSurges();
+  ExpectParity(cfg);
+}
+
+// The generator alone, window by window, against the per-event fleet's
+// issued arrivals: same times, keys and kinds, in order, at any window
+// size, with surges on.
+TEST(ColumnarParityTest, GeneratorMatchesReferenceArrivalsAtAnyWindow) {
+  FleetParams fp;
+  fp.arrivals_per_sec = 250.0;
+  fp.run_for = Duration::Seconds(10.0);
+  fp.read_fraction = 0.6;
+  fp.surges = TestSurges();
+
+  Simulator ref_sim(8);
+  ReferenceFleet ref(ref_sim, fp);
+  KvService svc(ref_sim, ClusterParams{}, MakePolicy(0));
+  ref.Run(svc);
+  ref_sim.Run();
+  ASSERT_GT(ref.issued.size(), 2500u);
+
+  for (const size_t window : {size_t{1}, size_t{7}, size_t{4096}}) {
+    SCOPED_TRACE(window);
+    Simulator sim(8);
+    ArrivalGenerator gen(sim, fp, ArrivalMode::kPoisson, {}, 0);
+    const SimTime horizon = sim.Now() + fp.run_for;
+    ArrivalBatch batch;
+    std::vector<SimTime> at;
+    std::vector<uint64_t> key;
+    std::vector<uint8_t> is_read;
+    bool more = true;
+    while (more) {
+      more = gen.FillWindow(batch, window, horizon);
+      at.insert(at.end(), batch.at.begin(), batch.at.end());
+      key.insert(key.end(), batch.key.begin(), batch.key.end());
+      is_read.insert(is_read.end(), batch.is_read.begin(),
+                     batch.is_read.end());
+    }
+    EXPECT_EQ(at, ref.issued.at);
+    EXPECT_EQ(key, ref.issued.key);
+    EXPECT_EQ(is_read, ref.issued.is_read);
+  }
+}
+
 TEST(ColumnarParityTest, WindowSizeIsBehaviorInvisible) {
   CellCfg cfg;
   cfg.seed = 4;
@@ -591,9 +632,9 @@ TEST(ColumnarParityTest, WindowSizeIsBehaviorInvisible) {
 }
 
 // Golden digest of one columnar serving run. The batched path schedules a
-// different event *structure* than the legacy scheduler (sequencer pump +
-// drain ticks), so it carries its own pin; outcome parity with the legacy
-// path is asserted separately above.
+// different event *structure* than the per-event reference (sequencer pump
+// + drain ticks), so it carries its own pin; outcome parity with the
+// reference is asserted separately above.
 constexpr uint64_t kColumnarRunDigest = 0x2ce14a73738cb30eULL;
 
 TEST(ColumnarParityTest, ColumnarRunIsBitIdenticalAndPinned) {
@@ -698,6 +739,25 @@ TEST(MmppTest, ModulatedArrivalsAreDeterministicAndRateResponsive) {
   // Two equal-sojourn phases at 100 and 800/s offer ~450/s on average.
   EXPECT_GT(a.first, 3000);
   EXPECT_LT(a.first, 6500);
+}
+
+// A phase end past the horizon ends the process like a crossing arrival
+// does: the window's arrivals before it still get their keys, kinds and
+// clients. Phases here end ~1000x more often than an arrival comes, so the
+// crossing draw is a phase end.
+TEST(MmppTest, PhaseEndPastHorizonKeepsWindowColumnsAligned) {
+  Simulator sim(3);
+  FleetParams fp;
+  fp.run_for = Duration::Seconds(100.0);
+  ArrivalGenerator gen(sim, fp, ArrivalMode::kMmpp, {{0.5, 0.001}}, 10);
+  ArrivalBatch batch;
+  EXPECT_FALSE(gen.FillWindow(batch, 4096, sim.Now() + fp.run_for));
+  EXPECT_GT(batch.size(), 10u);
+  EXPECT_EQ(batch.key.size(), batch.size());
+  EXPECT_EQ(batch.is_read.size(), batch.size());
+  EXPECT_EQ(batch.client.size(), batch.size());
+  EXPECT_FALSE(gen.FillWindow(batch, 4096, sim.Now() + fp.run_for));
+  EXPECT_EQ(batch.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

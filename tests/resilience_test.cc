@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "src/chaos/scenario.h"
-#include "src/cluster/client.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/fleet.h"
 #include "src/cluster/retry.h"
 #include "src/core/policy.h"
 #include "src/faults/injector.h"
@@ -211,7 +211,7 @@ SurgeRun RunWithSurges(const std::vector<ArrivalSurge>& surges) {
   fp.run_for = Duration::Seconds(10.0);
   fp.read_fraction = 1.0;
   fp.surges = surges;
-  ClientFleet fleet(sim, fp);
+  ColumnarFleet fleet(sim, fp);
   ClusterParams cp;
   cp.nodes = 4;
   KvService svc(sim, cp, std::make_unique<ProportionalSharePolicy>());
@@ -320,7 +320,7 @@ TEST(RetryBudgetTest, SurfacesInSloSnapshot) {
 
 struct EngineHarness {
   Simulator sim;
-  ClientFleet fleet;
+  ColumnarFleet fleet;
   KvService svc;
   FaultInjector injector;
 
@@ -445,7 +445,7 @@ TEST(NmrTest, FanoutReachesQuorumAndStrideGates) {
     fp.arrivals_per_sec = 150.0;
     fp.run_for = Duration::Seconds(5.0);
     fp.read_fraction = 1.0;
-    ClientFleet fleet(sim, fp);
+    ColumnarFleet fleet(sim, fp);
     ClusterParams cp;
     cp.nodes = 4;
     cp.shard.replication = 2;
@@ -537,19 +537,28 @@ ResilienceCampaignParams SmallCampaign() {
 TEST(ResilienceCampaignTest, ControlPlaneCellDigestsArePinned) {
   ResilienceCampaignParams p;
   p.control_plane = true;
+  // Fire digest (event order) and outcome digest (every op's key, issue
+  // and completion instant, outcome, attempts) per scenario cell.
   const struct {
     ResilienceScenario scenario;
     uint64_t digest;
+    uint64_t outcome_digest;
   } kPinned[] = {
-      {ResilienceScenario::kClean, 0xba522542b57390b3ULL},
-      {ResilienceScenario::kGray, 0x2b27e6af9189cc91ULL},
-      {ResilienceScenario::kCorrelated, 0xa64c5ce97b2477b9ULL},
-      {ResilienceScenario::kRetryStorm, 0x6ae0c5b367ccd888ULL},
+      {ResilienceScenario::kClean, 0x3ee4763e98d091aeULL,
+       0xe4f9b8451878755bULL},
+      {ResilienceScenario::kGray, 0x829fbafaf0ffdce0ULL,
+       0xace752c6e791246aULL},
+      {ResilienceScenario::kCorrelated, 0x2399f386d25b6fadULL,
+       0x7c8e36b89dcac2b4ULL},
+      {ResilienceScenario::kRetryStorm, 0x44b002fc4c0eca54ULL,
+       0xf677e8ba17fd193aULL},
   };
   for (const auto& pin : kPinned) {
     const ResilienceCellOutcome o =
         RunResilienceCell(p, pin.scenario, ResiliencePattern::kNone, 1);
     EXPECT_EQ(o.fire_digest, pin.digest)
+        << ResilienceScenarioName(pin.scenario);
+    EXPECT_EQ(o.outcome_digest, pin.outcome_digest)
         << ResilienceScenarioName(pin.scenario);
   }
 }
