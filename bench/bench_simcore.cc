@@ -1,16 +1,21 @@
 // Event-core microbenchmarks: the schedule/cancel/fire hot path that every
 // experiment in the tree funnels through.
 //
-// Each case runs twice — once against LegacyEventQueue (a verbatim copy of
-// the pre-overhaul implementation: lazy-cancellation binary heap over
-// std::function callbacks) and once against the production EventQueue
-// (slab + generation-stamped ids, index-tracked 4-ary heap,
-// InlineCallback). The legacy copy lives only here, as the permanent
-// measurement baseline; the speedup is the ratio of the paired rows.
+// The queue-level cases run twice — once against LegacyEventQueue (a
+// verbatim copy of the pre-overhaul implementation: lazy-cancellation
+// binary heap over std::function callbacks) and once against the
+// production EventQueue (chunked slot slab + generation-stamped ids,
+// index-tracked 4-ary heap, callbacks built and fired in place). The
+// legacy copy lives only here, as the permanent measurement baseline; the
+// speedup is the ratio of the paired rows. Both queues pop and fire with
+// the same Pop()/Fire() pair. The simulator-level cases schedule through
+// Simulator::Schedule, so fixed-delay lanes can form.
 // Shape properties CI asserts: cancel_heavy/new beats the legacy O(n)
-// cancel scan, and hedge_storm/new's per-event cost stays within 2x from
-// a 512- to an 8192-event burst (a structure whose per-event cost grows
-// with the burst's population fails it).
+// cancel scan; hedge_storm/new's per-event cost stays within 2x from a
+// 512- to an 8192-event burst (a structure whose per-event cost grows
+// with the burst's population fails it); and fixed_delay_streams' stays
+// within 1.25x from 64 to 4096 live events (a queue whose fixed-delay
+// events all pass through the heap fails it).
 //
 // Run:            ./bench_simcore
 // JSON telemetry: FST_TELEMETRY_DIR=dir ./bench_simcore   (BENCH_simcore.json)
@@ -68,6 +73,7 @@ class LegacyEventQueue {
     SimTime when;
     Callback cb;
   };
+  void Fire(Fired& fired) { fired.cb(); }
   std::optional<Fired> Pop() {
     DropCancelledHead();
     if (heap_.empty()) {
@@ -129,8 +135,9 @@ struct FatCapture {
   uint64_t* sink = nullptr;
 };
 
-template <typename Q>
-typename Q::Callback MakeCallback(uint64_t* sink) {
+// The lambda itself, so each queue builds its own callback type from it
+// (EventQueue in the event's slot).
+auto MakeCallback(uint64_t* sink) {
   FatCapture cap;
   cap.sink = sink;
   return [cap]() { *cap.sink += cap.a + cap.b + cap.c + cap.d + cap.e; };
@@ -166,13 +173,13 @@ void BM_ScheduleFire(benchmark::State& state) {
   uint64_t sink = 0;
   int64_t now = 0;
   for (int64_t i = 0; i < live; ++i) {
-    q.Push(SimTime(now + MixedDelayNs(rng)), MakeCallback<Q>(&sink));
+    q.Push(SimTime(now + MixedDelayNs(rng)), MakeCallback(&sink));
   }
   for (auto _ : state) {
     auto fired = q.Pop();
     now = std::max(now, fired->when.nanos());
-    fired->cb();
-    q.Push(SimTime(now + MixedDelayNs(rng)), MakeCallback<Q>(&sink));
+    q.Fire(*fired);
+    q.Push(SimTime(now + MixedDelayNs(rng)), MakeCallback(&sink));
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
@@ -195,12 +202,12 @@ void BM_CancelHeavy(benchmark::State& state) {
   size_t oldest = 0;
   for (int64_t i = 0; i < live; ++i) {
     armed.push_back(q.Push(SimTime(now + 10'000'000 + rng.UniformInt(0, 1'000'000)),
-                           MakeCallback<Q>(&sink)));
+                           MakeCallback(&sink)));
   }
   int64_t tick = 0;
   for (auto _ : state) {
     armed.push_back(q.Push(SimTime(now + 10'000'000 + rng.UniformInt(0, 1'000'000)),
-                           MakeCallback<Q>(&sink)));
+                           MakeCallback(&sink)));
     benchmark::DoNotOptimize(q.Cancel(armed[oldest]));
     ++oldest;
     if (oldest == armed.size()) {
@@ -212,10 +219,10 @@ void BM_CancelHeavy(benchmark::State& state) {
       auto fired = q.Pop();
       if (fired.has_value()) {
         now = std::max(now, fired->when.nanos());
-        fired->cb();
+        q.Fire(*fired);
         armed.push_back(q.Push(
             SimTime(now + 10'000'000 + rng.UniformInt(0, 1'000'000)),
-            MakeCallback<Q>(&sink)));
+            MakeCallback(&sink)));
       }
     }
   }
@@ -238,11 +245,11 @@ void BM_HedgeStorm(benchmark::State& state) {
   while (state.KeepRunningBatch(burst)) {
     for (int64_t i = 0; i < burst; ++i) {
       q.Push(SimTime(now + 2'000'000 + rng.UniformInt(0, 4'000)),
-             MakeCallback<Q>(&sink));
+             MakeCallback(&sink));
     }
     while (auto fired = q.Pop()) {
       now = std::max(now, fired->when.nanos());
-      fired->cb();
+      q.Fire(*fired);
     }
     items += burst;
   }
@@ -262,11 +269,11 @@ void BM_MixedHorizonFillDrain(benchmark::State& state) {
     Q q;
     int64_t now = 0;
     for (int64_t i = 0; i < n; ++i) {
-      q.Push(SimTime(now + MixedDelayNs(rng)), MakeCallback<Q>(&sink));
+      q.Push(SimTime(now + MixedDelayNs(rng)), MakeCallback(&sink));
     }
     while (auto fired = q.Pop()) {
       now = std::max(now, fired->when.nanos());
-      fired->cb();
+      q.Fire(*fired);
     }
   }
   benchmark::DoNotOptimize(sink);
@@ -301,6 +308,42 @@ void BM_SimulatorSelfRefill(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 
+// ------------------------------------------------------ fixed-delay streams
+// The serving cell's shape: `live` self-rescheduling chains, 80% of whose
+// reschedules use one of two fixed delays — 65% a 16.4 us switch stage,
+// 15% a 1 ms compute — and the rest a uniform delay up to 200 us. Through
+// Simulator::Schedule, so the queue sees each event's delay. One item =
+// one fired event.
+void BM_FixedDelayStreams(benchmark::State& state) {
+  const int64_t live = state.range(0);
+  Simulator sim(9);
+  uint64_t sink = 0;
+  Rng delays = sim.rng().Fork();
+  struct Chain {
+    Simulator* sim;
+    Rng* rng;
+    uint64_t* sink;
+    void operator()() const {
+      *sink += 1;
+      const double u = rng->UniformDouble();
+      const Duration delay =
+          u < 0.65   ? Duration::Nanos(16'400)
+          : u < 0.80 ? Duration::Millis(1)
+                     : Duration::Nanos(rng->UniformInt(0, 200'000));
+      sim->Schedule(delay, *this);
+    }
+  };
+  for (int64_t i = 0; i < live; ++i) {
+    sim.Schedule(Duration::Nanos(delays.UniformInt(0, 1'000'000)),
+                 Chain{&sim, &delays, &sink});
+  }
+  for (auto _ : state) {
+    sim.RunSteps(1024);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+
 BENCHMARK_TEMPLATE(BM_ScheduleFire, LegacyEventQueue)
     ->Name("schedule_fire/legacy")->Arg(1024)->Arg(16384);
 BENCHMARK_TEMPLATE(BM_ScheduleFire, EventQueue)
@@ -323,6 +366,9 @@ BENCHMARK_TEMPLATE(BM_MixedHorizonFillDrain, EventQueue)
 
 BENCHMARK(BM_SimulatorSelfRefill)
     ->Name("simulator_self_refill")->Arg(4096);
+
+BENCHMARK(BM_FixedDelayStreams)
+    ->Name("fixed_delay_streams")->Arg(64)->Arg(4096);
 
 }  // namespace
 }  // namespace fst

@@ -26,6 +26,16 @@ void ValidateClusterParams(const ClusterParams& params) {
       (params.nmr.quorum < 1 || params.nmr.quorum > params.nmr.issue)) {
     throw std::invalid_argument("NmrParams.quorum must be in [1, issue]");
   }
+  if (params.admission.max_outstanding_per_node < 1) {
+    // A cap of 0 sheds every op.
+    throw std::invalid_argument(
+        "AdmissionParams.max_outstanding_per_node must be >= 1");
+  }
+  if (params.live.enabled && params.live.window <= Duration::Zero()) {
+    // The window divides sim time into tumbling windows and paces the
+    // telemetry tick, which reschedules itself every window.
+    throw std::invalid_argument("LivePlaneParams.window must be > 0");
+  }
   if (!params.recovery.enabled) {
     return;
   }
@@ -917,8 +927,9 @@ int64_t KvService::lost_acked_writes() const {
 
 int64_t KvService::under_replicated_keys() const {
   int64_t under = 0;
+  std::vector<int> replicas;  // refilled per key, allocated once
   for (const auto& [key, ver] : acked_) {
-    const std::vector<int> replicas = shard_map_.ReplicasFor(key);
+    shard_map_.ReplicasFor(key, replicas);
     int copies = 0;
     for (int r : replicas) {
       if (nodes_[static_cast<size_t>(r)]->has_failed()) {

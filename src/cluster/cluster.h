@@ -145,11 +145,12 @@ class KvService {
  public:
   // Throws std::invalid_argument unless `params` describes a cluster the
   // service can run: nodes >= 1, shard.replication in [1, nodes],
-  // write_quorum in [1, replication], and nmr.quorum in [1, nmr.issue]
-  // when NMR is on. With recovery on, heartbeat_every and
-  // liveness_timeout must be positive and repair_keys_per_sec must be 0
-  // (off) or a finite rate whose interval 1/rate is at least 1 ns and
-  // fits a Duration.
+  // write_quorum in [1, replication], nmr.quorum in [1, nmr.issue]
+  // when NMR is on, admission.max_outstanding_per_node >= 1, and a
+  // positive live.window when the live plane is on. With recovery on,
+  // heartbeat_every and liveness_timeout must be positive and
+  // repair_keys_per_sec must be 0 (off) or a finite rate whose interval
+  // 1/rate is at least 1 ns and fits a Duration.
   KvService(Simulator& sim, ClusterParams params,
             std::unique_ptr<ReactionPolicy> policy,
             EventRecorder* recorder = nullptr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "src/cluster/cluster.h"
@@ -488,10 +489,35 @@ void MetadataNode::MaybeCompact() {
 // ---------------------------------------------------------------------------
 // ConsensusGroup
 
+namespace {
+
+void ValidateConsensusParams(const ConsensusParams& params) {
+  if (params.replicas < 1) {
+    throw std::invalid_argument("ConsensusParams.replicas must be >= 1");
+  }
+  if (params.heartbeat_every <= Duration::Zero()) {
+    throw std::invalid_argument("ConsensusParams.heartbeat_every must be > 0");
+  }
+  if (params.election_timeout_min <= Duration::Zero() ||
+      params.election_timeout_max <= Duration::Zero()) {
+    throw std::invalid_argument(
+        "ConsensusParams election timeouts must be > 0");
+  }
+  if (params.election_timeout_min > params.election_timeout_max) {
+    // The timer draws from [min, max]; an inverted window never elects.
+    throw std::invalid_argument(
+        "ConsensusParams.election_timeout_min must be <= "
+        "election_timeout_max");
+  }
+}
+
+}  // namespace
+
 ConsensusGroup::ConsensusGroup(Simulator& sim, ConsensusParams params,
                                EventRecorder* recorder)
-    : sim_(sim), params_(std::move(params)), recorder_(recorder),
-      until_(SimTime::Zero()), leaderless_since_(SimTime::Zero()) {
+    : sim_(sim), params_((ValidateConsensusParams(params), std::move(params))),
+      recorder_(recorder), until_(SimTime::Zero()),
+      leaderless_since_(SimTime::Zero()) {
   params_.net.ports = std::max(params_.net.ports, params_.replicas);
   switch_ = std::make_unique<Switch>(sim_, params_.net, nullptr, recorder_);
   Rng root = sim_.rng().Fork();

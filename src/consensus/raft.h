@@ -219,6 +219,9 @@ class ConsensusGroup {
  public:
   using ApplyFn = std::function<void(uint64_t index, const ConfigChange&)>;
 
+  // Throws std::invalid_argument unless replicas >= 1, heartbeat_every
+  // and both election timeouts are positive, and election_timeout_min <=
+  // election_timeout_max.
   ConsensusGroup(Simulator& sim, ConsensusParams params,
                  EventRecorder* recorder = nullptr);
 

@@ -19,8 +19,12 @@
 //     admits move-only captures (std::unique_ptr, etc.);
 //   * no empty-call exception: invoking a null callback is a programming
 //     error (assert in debug builds);
-//   * trivially-copyable captures relocate with memcpy, so moving queue
-//     entries around never runs user code.
+//   * Emplace() builds a callable directly in an existing empty object, so
+//     the event queue constructs each event's callback once, in the slot
+//     it fires from, and never moves it;
+//   * trivially-copyable captures relocate with memcpy, so the moves that
+//     remain (device queues carrying completion callbacks) never run user
+//     code.
 #ifndef SRC_SIMCORE_INLINE_CALLBACK_H_
 #define SRC_SIMCORE_INLINE_CALLBACK_H_
 
@@ -58,13 +62,7 @@ class InlineFunction<R(Args...)> {
                 !std::is_same_v<D, InlineFunction> &&
                 std::is_invocable_r_v<R, D&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (StoresInline<F>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
-    }
+    Emplace(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { MoveFrom(other); }
@@ -89,6 +87,36 @@ class InlineFunction<R(Args...)> {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
+  // Builds `f` in place in this empty object; an InlineFunction argument
+  // is moved in instead. If constructing the capture throws, the object
+  // stays empty.
+  template <typename F>
+  void Emplace(F&& f) {
+    using D = std::decay_t<F>;
+    assert(ops_ == nullptr && "Emplace into a non-empty InlineFunction");
+    if constexpr (std::is_same_v<D, InlineFunction>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "InlineFunction is move-only: pass it as an rvalue");
+      MoveFrom(f);
+    } else if constexpr (StoresInline<F>()) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      ops_ = &kHeapOps<D>;
+    }
+  }
+
+  // Destroys the stored callable, leaving this object empty.
+  void Reset() noexcept {
+    if (ops_ != nullptr) {
+      if (ops_->destroy != nullptr) {
+        ops_->destroy(buf_);
+      }
+      ops_ = nullptr;
+    }
+  }
+
   // True if the stored callable lives on the heap (oversized capture).
   bool heap_allocated() const { return ops_ != nullptr && ops_->on_heap; }
 
@@ -100,8 +128,7 @@ class InlineFunction<R(Args...)> {
     void (*relocate)(void* src, void* dst);
     void (*destroy)(void*);  // null => trivially destructible
     // Payload size: trivial relocation copies only these bytes, not the
-    // whole inline buffer — queue entries move several times per event,
-    // and most captures are a fraction of kInlineBytes.
+    // whole inline buffer — most captures are a fraction of kInlineBytes.
     std::size_t size;
     bool on_heap;
   };
@@ -150,15 +177,6 @@ class InlineFunction<R(Args...)> {
         ops_->relocate(other.buf_, buf_);
       }
       other.ops_ = nullptr;
-    }
-  }
-
-  void Reset() noexcept {
-    if (ops_ != nullptr) {
-      if (ops_->destroy != nullptr) {
-        ops_->destroy(buf_);
-      }
-      ops_ = nullptr;
     }
   }
 

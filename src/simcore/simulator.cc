@@ -6,36 +6,26 @@ namespace fst {
 
 Simulator::Simulator(uint64_t seed) : rng_(seed) {}
 
-EventId Simulator::Schedule(Duration delay, Callback cb) {
-  if (delay.IsNegative()) {
-    delay = Duration::Zero();
-  }
-  return queue_.Push(now_ + delay, std::move(cb));
-}
-
-EventId Simulator::ScheduleAt(SimTime when, Callback cb) {
-  if (when < now_) {
-    when = now_;
-  }
-  return queue_.Push(when, std::move(cb));
-}
-
 bool Simulator::Cancel(EventId id) { return queue_.Cancel(id); }
 
 bool Simulator::FireNext(SimTime deadline) {
-  auto fired = queue_.PopDue(deadline);
-  if (!fired.has_value()) {
+  if (events_fired_ >= max_events_) {
+    const std::optional<SimTime> next = queue_.PeekTime();
+    if (next.has_value() && *next <= deadline) {
+      throw std::runtime_error(
+          "Simulator: max_events exceeded (runaway event loop?)");
+    }
+  }
+  const std::optional<EventQueue::Popped> due = queue_.PopDue(deadline);
+  if (!due.has_value()) {
     return false;
   }
-  now_ = fired->when;
+  now_ = due->when;
   ++events_fired_;
-  fire_digest_ = (fire_digest_ ^ static_cast<uint64_t>(fired->when.nanos())) *
+  fire_digest_ = (fire_digest_ ^ static_cast<uint64_t>(due->when.nanos())) *
                  1099511628211ull;
-  fire_digest_ = (fire_digest_ ^ fired->seq) * 1099511628211ull;
-  if (events_fired_ > max_events_) {
-    throw std::runtime_error("Simulator: max_events exceeded (runaway event loop?)");
-  }
-  fired->cb();
+  fire_digest_ = (fire_digest_ ^ due->seq) * 1099511628211ull;
+  queue_.Fire(*due);
   return true;
 }
 

@@ -7,6 +7,7 @@
 #define SRC_SIMCORE_SIMULATOR_H_
 
 #include <cstdint>
+#include <utility>
 
 #include "src/simcore/event_queue.h"
 #include "src/simcore/rng.h"
@@ -23,14 +24,25 @@ class Simulator {
 
   SimTime Now() const { return now_; }
 
-  // Callbacks are allocation-free for captures up to
-  // InlineCallback::kInlineBytes; any callable convertible to void() works.
-  using Callback = EventQueue::Callback;
-
-  // Schedules `cb` to run `delay` from now. Negative delays are clamped to
+  // Schedules `f` to run `delay` from now. Negative delays are clamped to
   // zero (fires this instant, after already-scheduled same-time events).
-  EventId Schedule(Duration delay, Callback cb);
-  EventId ScheduleAt(SimTime when, Callback cb);
+  // `f` is any callable convertible to void(); it is built in its queue
+  // slot and runs there, allocation-free for captures up to
+  // InlineCallback::kInlineBytes.
+  template <typename F>
+  EventId Schedule(Duration delay, F&& f) {
+    if (delay.IsNegative()) {
+      delay = Duration::Zero();
+    }
+    return queue_.Push(now_, now_ + delay, std::forward<F>(f));
+  }
+
+  // Schedules `f` at `when`, clamped to now.
+  template <typename F>
+  EventId ScheduleAt(SimTime when, F&& f) {
+    return queue_.Push(now_, when < now_ ? now_ : when, std::forward<F>(f));
+  }
+
   bool Cancel(EventId id);
 
   // Runs until the event queue drains. Returns the number of events fired.

@@ -161,48 +161,4 @@ std::string Histogram::Summary() const {
   return buf;
 }
 
-void TimeWeightedAverage::Update(SimTime now, double new_value) {
-  if (!started_) {
-    started_ = true;
-    start_ = last_ = now;
-    value_ = new_value;
-    return;
-  }
-  weighted_sum_ += value_ * (now - last_).ToSeconds();
-  last_ = now;
-  value_ = new_value;
-}
-
-double TimeWeightedAverage::Average(SimTime now) const {
-  if (!started_ || now <= start_) {
-    return value_;
-  }
-  const double total = weighted_sum_ + value_ * (now - last_).ToSeconds();
-  return total / (now - start_).ToSeconds();
-}
-
-void RateMeter::Expire(SimTime now) {
-  const SimTime cutoff = now - window_;
-  while (!samples_.empty() && samples_.front().first < cutoff) {
-    in_window_ -= samples_.front().second;
-    samples_.pop_front();
-  }
-}
-
-void RateMeter::Record(SimTime now, double amount) {
-  Expire(now);
-  samples_.emplace_back(now, amount);
-  in_window_ += amount;
-  total_ += amount;
-}
-
-double RateMeter::RatePerSecond(SimTime now) {
-  Expire(now);
-  const double secs = window_.ToSeconds();
-  if (secs <= 0.0) {
-    return 0.0;
-  }
-  return in_window_ / secs;
-}
-
 }  // namespace fst

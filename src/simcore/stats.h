@@ -1,12 +1,10 @@
-// Online statistics used throughout the simulator: Welford moments,
-// a log-linear latency histogram (HdrHistogram-style), time-weighted
-// averages, and windowed rate meters.
+// Online statistics used throughout the simulator: Welford moments and
+// a log-linear latency histogram (HdrHistogram-style).
 #ifndef SRC_SIMCORE_STATS_H_
 #define SRC_SIMCORE_STATS_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -122,42 +120,6 @@ class Histogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Average of a piecewise-constant signal weighted by how long each value
-// held, e.g. queue depth or utilization over virtual time.
-class TimeWeightedAverage {
- public:
-  void Update(SimTime now, double new_value);
-  double Average(SimTime now) const;
-  double current() const { return value_; }
-
- private:
-  bool started_ = false;
-  SimTime start_;
-  SimTime last_;
-  double value_ = 0.0;
-  double weighted_sum_ = 0.0;
-};
-
-// Sliding-window event-rate meter: events per second over the trailing
-// window, evaluated in virtual time.
-class RateMeter {
- public:
-  explicit RateMeter(Duration window) : window_(window) {}
-
-  void Record(SimTime now, double amount = 1.0);
-  // Rate in amount/second over [now - window, now].
-  double RatePerSecond(SimTime now);
-  double total() const { return total_; }
-
- private:
-  void Expire(SimTime now);
-
-  Duration window_;
-  std::deque<std::pair<SimTime, double>> samples_;
-  double in_window_ = 0.0;
-  double total_ = 0.0;
 };
 
 }  // namespace fst

@@ -911,5 +911,28 @@ TEST(ClusterParamsTest, RejectsUnrepresentableRepairRate) {
   }
 }
 
+TEST(ClusterParamsTest, RejectsAdmissionCapBelowOne) {
+  ClusterParams p;
+  for (const int cap : {0, -1}) {
+    p.admission.max_outstanding_per_node = cap;
+    EXPECT_THROW(BuildService(p), std::invalid_argument) << cap;
+  }
+  p.admission.max_outstanding_per_node = 1;
+  EXPECT_NO_THROW(BuildService(p));
+}
+
+TEST(ClusterParamsTest, RejectsNonPositiveLiveWindow) {
+  ClusterParams p;
+  p.live.window = Duration::Zero();
+  EXPECT_NO_THROW(BuildService(p));  // plane off: the window is unused
+  p.live.enabled = true;
+  for (const Duration window : {Duration::Zero(), Duration::Millis(-250)}) {
+    p.live.window = window;
+    EXPECT_THROW(BuildService(p), std::invalid_argument) << window.nanos();
+  }
+  p.live.window = Duration::Nanos(1);
+  EXPECT_NO_THROW(BuildService(p));
+}
+
 }  // namespace
 }  // namespace fst

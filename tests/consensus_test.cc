@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -192,6 +193,48 @@ ConsensusParams SmallQuorum(int replicas = 3) {
   p.replicas = replicas;
   p.data_nodes = 4;
   return p;
+}
+
+void BuildGroup(const ConsensusParams& params) {
+  Simulator sim(1);
+  ConsensusGroup group(sim, params);
+}
+
+TEST(ConsensusParamsTest, RejectsReplicasBelowOne) {
+  for (const int replicas : {0, -2}) {
+    EXPECT_THROW(BuildGroup(SmallQuorum(replicas)), std::invalid_argument)
+        << replicas;
+  }
+  EXPECT_NO_THROW(BuildGroup(SmallQuorum(1)));
+}
+
+TEST(ConsensusParamsTest, RejectsNonPositiveHeartbeat) {
+  ConsensusParams p = SmallQuorum();
+  for (const Duration every : {Duration::Zero(), Duration::Millis(-60)}) {
+    p.heartbeat_every = every;
+    EXPECT_THROW(BuildGroup(p), std::invalid_argument) << every.nanos();
+  }
+  p.heartbeat_every = Duration::Nanos(1);
+  EXPECT_NO_THROW(BuildGroup(p));
+}
+
+TEST(ConsensusParamsTest, RejectsNonPositiveElectionTimeouts) {
+  for (const Duration bad : {Duration::Zero(), Duration::Millis(-1)}) {
+    ConsensusParams p = SmallQuorum();
+    p.election_timeout_min = bad;
+    EXPECT_THROW(BuildGroup(p), std::invalid_argument) << bad.nanos();
+    p.election_timeout_max = bad;
+    EXPECT_THROW(BuildGroup(p), std::invalid_argument) << bad.nanos();
+  }
+}
+
+TEST(ConsensusParamsTest, RejectsInvertedElectionWindow) {
+  ConsensusParams p = SmallQuorum();
+  p.election_timeout_min = Duration::Millis(500);
+  p.election_timeout_max = Duration::Millis(250);
+  EXPECT_THROW(BuildGroup(p), std::invalid_argument);
+  p.election_timeout_max = p.election_timeout_min;  // a fixed timeout
+  EXPECT_NO_THROW(BuildGroup(p));
 }
 
 TEST(ConsensusTest, ElectsOneLeaderAndKeepsItWithoutFaults) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
+#include <deque>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -170,7 +174,7 @@ TEST(EventQueueTest, PopsInTimeOrder) {
   q.Push(SimTime(10), [&]() { order.push_back(1); });
   q.Push(SimTime(20), [&]() { order.push_back(2); });
   while (auto e = q.Pop()) {
-    e->cb();
+    q.Fire(*e);
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -182,7 +186,7 @@ TEST(EventQueueTest, TiesBreakInInsertionOrder) {
     q.Push(SimTime(5), [&order, i]() { order.push_back(i); });
   }
   while (auto e = q.Pop()) {
-    e->cb();
+    q.Fire(*e);
   }
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[static_cast<size_t>(i)], i);
@@ -228,6 +232,8 @@ TEST(EventQueueTest, CancelAfterFireFails) {
   const EventId id = q.Push(SimTime(10), []() {});
   auto fired = q.Pop();
   ASSERT_TRUE(fired.has_value());
+  EXPECT_FALSE(q.Cancel(id));  // dead from the pop on, before it runs
+  q.Fire(*fired);
   EXPECT_FALSE(q.Cancel(id));
 }
 
@@ -245,7 +251,7 @@ TEST(EventQueueTest, CancelFromInsideFiringCallback) {
   b_id = q.Push(SimTime(5), [&]() { order.push_back('b'); });
   q.Push(SimTime(6), [&]() { order.push_back('c'); });
   while (auto e = q.Pop()) {
-    e->cb();
+    q.Fire(*e);
   }
   EXPECT_TRUE(b_cancel_ok);
   EXPECT_EQ(order, (std::vector<char>{'a', 'c'}));
@@ -270,15 +276,17 @@ TEST(EventQueueTest, HandleReuseAcrossGenerations) {
 TEST(EventQueueTest, StaleHandleAfterFireCannotCancelReusedSlot) {
   EventQueue q;
   const EventId d = q.Push(SimTime(1), []() {});
-  ASSERT_TRUE(q.Pop().has_value());  // fires D, frees its slot
+  auto fired_d = q.Pop();
+  ASSERT_TRUE(fired_d.has_value());
+  q.Fire(*fired_d);  // fires D, frees its slot
   bool fired_e = false;
   const EventId e = q.Push(SimTime(2), [&]() { fired_e = true; });
+  EXPECT_EQ(e.value & 0xffffffffu, d.value & 0xffffffffu);  // same slot
   EXPECT_FALSE(q.Cancel(d));
   auto fired = q.Pop();
   ASSERT_TRUE(fired.has_value());
-  fired->cb();
+  q.Fire(*fired);
   EXPECT_TRUE(fired_e);
-  (void)e;
 }
 
 TEST(EventQueueTest, FarFutureOverflowOrdering) {
@@ -291,7 +299,7 @@ TEST(EventQueueTest, FarFutureOverflowOrdering) {
   q.Push(SimTime(int64_t{20} * 1'000'000'000), [&]() { order.push_back(2); });
   q.Push(SimTime(int64_t{30} * 1'000'000'000), [&]() { order.push_back(4); });
   while (auto e = q.Pop()) {
-    e->cb();
+    q.Fire(*e);
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
@@ -306,10 +314,10 @@ TEST(EventQueueTest, SameTimeAcrossStructuresKeepsFifo) {
   q.Push(t, [&]() { order.push_back('a'); });      // 20 s ahead
   q.Push(SimTime(int64_t{5} * 1'000'000'000), [&]() { order.push_back('f'); });
   auto filler = q.Pop();  // time advances to 5 s
-  filler->cb();
+  q.Fire(*filler);
   q.Push(t, [&]() { order.push_back('b'); });      // now 15 s ahead
   while (auto e = q.Pop()) {
-    e->cb();
+    q.Fire(*e);
   }
   EXPECT_EQ(order, (std::vector<char>{'f', 'a', 'b'}));
 }
@@ -336,58 +344,91 @@ TEST(EventQueueTest, LiveSizeExactUnderChurn) {
   }
   EXPECT_EQ(q.live_size(), 50u);  // exact immediately, no lazy drop
   for (int i = 0; i < 25; ++i) {
-    ASSERT_TRUE(q.Pop().has_value());
+    auto fired = q.Pop();
+    ASSERT_TRUE(fired.has_value());
+    q.Fire(*fired);
   }
   EXPECT_EQ(q.live_size(), 25u);
   EXPECT_FALSE(q.Empty());
 }
 
 // Differential test: random push/cancel/pop against a reference model
-// (ordered map keyed on (time, seq)). Exercises same-time ties, delays from
+// (ordered map keyed on (time, seq)). Most pushes go through the
+// scheduling-instant path, half of them at one of three fixed delays so
+// lanes form, some from an instant before the current time so they order
+// before their lane's tail; the rest exercise same-time ties, delays from
 // zero to a minute, bursts of pushes inside one 4 us span (the hedge
-// pattern), direct removal by Cancel, and pops through both Pop() and
-// PopDue(deadline). PeekTime() must name the reference minimum after
-// every step.
+// pattern) and heap-only pushes. Cancels hit the oldest (lane head),
+// newest (lane tail) and a middle (lane body) pending event of a fixed
+// delay, as well as random events; pops go through both Pop() and
+// PopDue(deadline). PeekTime() and live_size() must match the reference
+// after every step.
 TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
+  using Key = std::pair<int64_t, uint64_t>;
+  constexpr std::array<int64_t, 3> kFixedDelays = {0, 16'400, 1'000'000};
   EventQueue q;
-  std::map<std::pair<int64_t, uint64_t>, int> reference;  // -> tag
-  std::vector<std::pair<EventId, std::pair<int64_t, uint64_t>>> live;
+  std::map<Key, int> reference;  // -> tag
+  std::vector<std::pair<EventId, Key>> live;
+  // Per fixed delay, its events in push order (fired ones linger until
+  // pruned from either end).
+  std::array<std::deque<std::pair<EventId, Key>>, kFixedDelays.size()> fixed;
   Rng rng(2024);
   uint64_t seq = 0;
   int tag = 0;
   int64_t now = 0;
   int fired_tag = -1;
-  auto push = [&](int64_t when) {
-    const int t = tag++;
-    const EventId id = q.Push(SimTime(when), [&fired_tag, t]() {
-      fired_tag = t;
-    });
-    reference.emplace(std::make_pair(when, seq), t);
+  auto record = [&](EventId id, int64_t when, int t) {
+    reference.emplace(Key{when, seq}, t);
     live.push_back({id, {when, seq}});
     ++seq;
+    return live.back();
+  };
+  auto push_at = [&](int64_t at, int64_t when) {
+    const int t = tag++;
+    return record(q.Push(SimTime(at), SimTime(when),
+                         [&fired_tag, t]() { fired_tag = t; }),
+                  when, t);
+  };
+  auto push_heap_only = [&](int64_t when) {
+    const int t = tag++;
+    record(q.Push(SimTime(when), [&fired_tag, t]() { fired_tag = t; }),
+           when, t);
+  };
+  auto cancel = [&](EventId id, Key key, int step) {
+    const bool present = reference.erase(key) > 0;
+    EXPECT_EQ(q.Cancel(id), present) << "step " << step;
   };
   // Fires a popped event and checks it was the reference minimum.
-  auto expect_min = [&](EventQueue::Fired& fired, int step) {
+  auto expect_min = [&](const EventQueue::Popped& popped, int step) {
     ASSERT_FALSE(reference.empty()) << "step " << step;
     fired_tag = -1;
-    fired.cb();
+    q.Fire(popped);
     const auto expect = reference.begin();
-    EXPECT_EQ(fired.when.nanos(), expect->first.first) << "step " << step;
-    EXPECT_EQ(fired.seq, expect->first.second) << "step " << step;
+    EXPECT_EQ(popped.when.nanos(), expect->first.first) << "step " << step;
+    EXPECT_EQ(popped.seq, expect->first.second) << "step " << step;
     EXPECT_EQ(fired_tag, expect->second) << "step " << step;
-    now = std::max(now, fired.when.nanos());
+    now = std::max(now, popped.when.nanos());
     reference.erase(expect);
   };
-  for (int step = 0; step < 20000; ++step) {
+  for (int step = 0; step < 40000; ++step) {
     const double u = rng.UniformDouble();
     if (u < 0.002) {
       // Burst: 64-512 pushes inside one 4 us span.
       const int64_t start = now + rng.UniformInt(0, 2'000'000);
       const int64_t count = rng.UniformInt(64, 512);
       for (int64_t i = 0; i < count; ++i) {
-        push(start + rng.UniformInt(0, 4'000));
+        const int64_t when = start + rng.UniformInt(0, 4'000);
+        push_at(now, when);
       }
-    } else if (u < 0.60 || reference.empty()) {
+    } else if (u < 0.33 || reference.empty()) {
+      // A fixed delay; one time in eight from an earlier instant.
+      const size_t k = static_cast<size_t>(rng.UniformInt(0, 2));
+      int64_t at = now;
+      if (rng.UniformDouble() < 0.125) {
+        at = std::max<int64_t>(0, now - rng.UniformInt(1, 2'000'000));
+      }
+      fixed[k].push_back(push_at(at, at + kFixedDelays[k]));
+    } else if (u < 0.60) {
       int64_t delay = 0;
       const double kind = rng.UniformDouble();
       if (kind < 0.15) {
@@ -399,30 +440,52 @@ TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
       } else {
         delay = rng.UniformInt(17'000'000'000, 60'000'000'000);  // far
       }
-      push(now + delay);
-    } else if (u < 0.80 && !live.empty()) {
+      if (rng.UniformDouble() < 0.2) {
+        push_heap_only(now + delay);
+      } else {
+        push_at(now, now + delay);
+      }
+    } else if (u < 0.70) {
+      // Cancel a fixed delay's oldest, newest or a middle pending event.
+      auto& events = fixed[static_cast<size_t>(rng.UniformInt(0, 2))];
+      while (!events.empty() && !reference.contains(events.front().second)) {
+        events.pop_front();
+      }
+      while (!events.empty() && !reference.contains(events.back().second)) {
+        events.pop_back();
+      }
+      if (!events.empty()) {
+        const int64_t which = rng.UniformInt(0, 2);
+        const size_t pick =
+            which == 0   ? 0
+            : which == 1 ? events.size() - 1
+                         : static_cast<size_t>(rng.UniformInt(
+                               0, static_cast<int64_t>(events.size()) - 1));
+        cancel(events[pick].first, events[pick].second, step);
+        events.erase(events.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+    } else if (u < 0.78 && !live.empty()) {
       const size_t pick =
           static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
       const auto [id, key] = live[pick];
-      const bool present = reference.erase(key) > 0;
-      EXPECT_EQ(q.Cancel(id), present) << "step " << step;
+      cancel(id, key, step);
       live[pick] = live.back();
       live.pop_back();
-    } else if (u < 0.90) {
-      auto fired = q.Pop();
-      ASSERT_TRUE(fired.has_value()) << "step " << step;
-      expect_min(*fired, step);
+    } else if (u < 0.89) {
+      auto popped = q.Pop();
+      ASSERT_TRUE(popped.has_value()) << "step " << step;
+      expect_min(*popped, step);
     } else {
       // A deadline within 1.5 us either side of the minimum, landing on
       // it exactly one time in seven: nullopt iff the minimum is later.
       const int64_t min_when = reference.begin()->first.first;
       const int64_t deadline = min_when + rng.UniformInt(-3, 3) * 500;
-      auto fired = q.PopDue(SimTime(deadline));
+      auto popped = q.PopDue(SimTime(deadline));
       if (min_when > deadline) {
-        EXPECT_FALSE(fired.has_value()) << "step " << step;
+        EXPECT_FALSE(popped.has_value()) << "step " << step;
       } else {
-        ASSERT_TRUE(fired.has_value()) << "step " << step;
-        expect_min(*fired, step);
+        ASSERT_TRUE(popped.has_value()) << "step " << step;
+        expect_min(*popped, step);
       }
     }
     ASSERT_EQ(q.live_size(), reference.size()) << "step " << step;
@@ -435,11 +498,70 @@ TEST(EventQueueTest, DifferentialAgainstReferenceModel) {
     }
   }
   // Drain both; order must match exactly.
-  while (auto fired = q.Pop()) {
-    expect_min(*fired, -1);
+  while (auto popped = q.Pop()) {
+    expect_min(*popped, -1);
   }
   EXPECT_TRUE(reference.empty());
   EXPECT_TRUE(q.Empty());
+}
+
+// A callback runs in its slot, so it must survive the slab growing under
+// it: this one schedules more than a chunk's worth of events (forcing new
+// chunks and a larger slot table) and then reads its own captures.
+TEST(EventQueueTest, FiringCallbackOutlivesSlabGrowth) {
+  Simulator sim;
+  std::array<uint64_t, 8> seen{};
+  int scheduled_fired = 0;
+  std::array<uint64_t, 8> words{};
+  for (size_t i = 0; i < words.size(); ++i) {
+    words[i] = 0x9e3779b97f4a7c15ull * (i + 1);
+  }
+  sim.Schedule(Duration::Micros(1), [&sim, &seen, &scheduled_fired, words]() {
+    for (int i = 0; i < 300; ++i) {
+      sim.Schedule(Duration::Nanos(i % 7), [&scheduled_fired]() {
+        ++scheduled_fired;
+      });
+    }
+    for (size_t i = 0; i < words.size(); ++i) {
+      seen[i] = words[i];
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(seen, words);
+  EXPECT_EQ(scheduled_fired, 300);
+}
+
+TEST(EventQueueTest, FiringEventCannotCancelItself) {
+  Simulator sim;
+  EventId self;
+  int runs = 0;
+  bool self_cancel = true;
+  self = sim.Schedule(Duration::Micros(5), [&]() {
+    ++runs;
+    self_cancel = sim.Cancel(self);
+  });
+  sim.Run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(self_cancel);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(EventQueueTest, ThrowingCallbackIsDestroyedAndItsSlotRecycled) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  const EventId thrower = q.Push(SimTime(1), [token]() {
+    throw std::runtime_error("boom");
+  });
+  EXPECT_EQ(token.use_count(), 2);
+  auto popped = q.Pop();
+  ASSERT_TRUE(popped.has_value());
+  EXPECT_THROW(q.Fire(*popped), std::runtime_error);
+  EXPECT_EQ(token.use_count(), 1);  // the capture was destroyed
+  // The slot went back to the free list: the next push reuses it.
+  const EventId next = q.Push(SimTime(2), []() {});
+  EXPECT_EQ(next.value & 0xffffffffu, thrower.value & 0xffffffffu);
+  EXPECT_NE(next, thrower);
+  EXPECT_EQ(q.live_size(), 1u);
 }
 
 // ---------------------------------------------------------------- inline callback
@@ -790,28 +912,6 @@ TEST(HistogramTest, MergeMatchesCombinedStream) {
     EXPECT_DOUBLE_EQ(a.ValueAtQuantile(q), combined.ValueAtQuantile(q))
         << "q=" << q;
   }
-}
-
-TEST(TimeWeightedAverageTest, WeightsByHoldTime) {
-  TimeWeightedAverage twa;
-  twa.Update(SimTime(0), 0.0);
-  twa.Update(SimTime(10), 10.0);  // value 0 held 10ns
-  twa.Update(SimTime(30), 0.0);   // value 10 held 20ns
-  // Average over [0,30]: (0*10 + 10*20)/30 = 6.67
-  EXPECT_NEAR(twa.Average(SimTime(30)), 200.0 / 30.0, 1e-9);
-}
-
-TEST(RateMeterTest, WindowedRate) {
-  RateMeter meter(Duration::Seconds(1.0));
-  SimTime t = SimTime::Zero();
-  for (int i = 0; i < 10; ++i) {
-    t = t + Duration::Millis(100);
-    meter.Record(t, 1.0);
-  }
-  EXPECT_NEAR(meter.RatePerSecond(t), 10.0, 0.01);
-  // After 2 idle seconds the window is empty.
-  EXPECT_NEAR(meter.RatePerSecond(t + Duration::Seconds(2.0)), 0.0, 1e-9);
-  EXPECT_DOUBLE_EQ(meter.total(), 10.0);
 }
 
 // ---------------------------------------------------------------- metrics
