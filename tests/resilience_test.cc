@@ -563,6 +563,21 @@ TEST(ResilienceCampaignTest, ControlPlaneCellDigestsArePinned) {
   }
 }
 
+// The nmr pattern's gray cell with 2-of-2 reads: every designated read
+// must hear both replicas agree, so a gray replica's answer gates the ack.
+TEST(ResilienceCampaignTest, NmrQuorumCellIsPinned) {
+  ResilienceCampaignParams p;
+  p.nmr.quorum = 2;
+  const ResilienceCellOutcome o = RunResilienceCell(
+      p, ResilienceScenario::kGray, ResiliencePattern::kNmr, 1);
+  EXPECT_EQ(o.fire_digest, 0x222a997b806cc2d9ULL)
+      << "0x" << std::hex << o.fire_digest;
+  EXPECT_EQ(o.outcome_digest, 0xf431a1d6c17c577dULL)
+      << "0x" << std::hex << o.outcome_digest;
+  EXPECT_EQ(o.nmr_reads, 755);
+  EXPECT_EQ(o.nmr_acks, 755);
+}
+
 TEST(ResilienceCampaignTest, ScorecardByteIdenticalAcrossThreadCounts) {
   ResilienceCampaignParams p = SmallCampaign();
   p.threads = 1;
