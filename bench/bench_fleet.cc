@@ -1,14 +1,15 @@
 // Columnar client/op core — the per-op-overhead benchmarks behind the
 // million-client serving claim.
 //
-// Micro benches isolate the three costs the columnar front end removes
-// from the per-op path, each against the implementation it replaced:
+// Micro benches isolate the costs the columnar front end removes from the
+// per-op path:
 //   * key sampling       — guide-table Zipf (O(1) expected) vs the old
 //                          full binary search (O(log n));
 //   * arrival generation — windowed SoA fill vs one heap-allocating
 //                          closure scheduled per arrival;
-//   * op-state churn     — slab OpTable allocate/free vs the old
-//                          shared_ptr<op-state> + capturing-callback pair.
+//   * op-state churn     — slab OpTable allocate/free with routing into
+//                          reused scratch (tests/alloc_test.cc guards the
+//                          no-allocation property end to end).
 // Macro benches then run the whole serving stack: the E22-style cell
 // (sim_ops_per_sec counter — node compute and the switch dominate it),
 // and a many-client attribution cell showing per-client tallies stay
@@ -154,47 +155,11 @@ BENCHMARK(BM_ArrivalsBatchedWindows)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Op-state churn: slab OpTable vs shared_ptr op state + capturing callback
+// Op-state churn: slab OpTable rows and routing into reused scratch
 // ---------------------------------------------------------------------------
 
 constexpr int kChurnDepth = 1024;  // in-flight ops held at steady state
 constexpr int kChurnNodes = 16;
-
-// What KvService used to do per op+attempt: heap-allocate shared op state
-// and a capturing std::function, then rank with by-value vectors —
-// ShardMap::ReplicasFor returning a fresh vector and Rank allocating its
-// result (plus scoring scratch) on every attempt. Retires the oldest op
-// each step to hold depth constant.
-void BM_AttemptBookkeepingLegacy(benchmark::State& state) {
-  struct OpState {
-    uint64_t key = 0;
-    uint64_t version = 0;
-    int32_t attempts = 0;
-    bool done = false;
-  };
-  ShardMap shard(kChurnNodes, {64, 2});
-  ReplicaSelector sel(RouteMode::kQueueWeighted, kChurnNodes, Rng(9));
-  const ReplicaSelector::DepthFn depth = [](int node) { return node % 3; };
-  std::vector<std::pair<std::shared_ptr<OpState>, std::function<void(bool)>>>
-      live(kChurnDepth);
-  uint64_t k = 0;
-  size_t head = 0;
-  for (auto _ : state) {
-    auto op = std::make_shared<OpState>();
-    op->key = k++;
-    std::function<void(bool)> done = [op](bool ok) { op->done = ok; };
-    const std::vector<int> replicas = shard.ReplicasFor(op->key);
-    std::vector<int> ranked = sel.Rank(replicas, depth);
-    benchmark::DoNotOptimize(ranked.data());
-    if (live[head].second) {
-      live[head].second(true);
-    }
-    live[head] = {std::move(op), std::move(done)};
-    head = (head + 1) % kChurnDepth;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AttemptBookkeepingLegacy);
 
 // The columnar op path: one slab row per op (generation-stamped id, no
 // allocation after the high-water mark), replica lookup and ranking into

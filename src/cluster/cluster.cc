@@ -22,9 +22,20 @@ void ValidateClusterParams(const ClusterParams& params) {
     throw std::invalid_argument(
         "ClusterParams.write_quorum must be in [1, shard.replication]");
   }
+  if (params.hedge_reads && params.hedge.max_hedges < 0) {
+    throw std::invalid_argument("HedgeParams.max_hedges must be >= 0");
+  }
+  if (params.hedge_reads && params.hedge.hedge_delay.IsNegative()) {
+    throw std::invalid_argument("HedgeParams.hedge_delay must be >= 0");
+  }
+  // quorum >= 1 also makes issue >= 1.
   if (params.nmr.enabled &&
       (params.nmr.quorum < 1 || params.nmr.quorum > params.nmr.issue)) {
     throw std::invalid_argument("NmrParams.quorum must be in [1, issue]");
+  }
+  if (params.nmr.enabled && params.nmr.key_stride < 1) {
+    // Reads pick NMR by key % key_stride.
+    throw std::invalid_argument("NmrParams.key_stride must be >= 1");
   }
   if (params.admission.max_outstanding_per_node < 1) {
     // A cap of 0 sheds every op.
@@ -72,12 +83,18 @@ KvService::KvService(Simulator& sim, ClusterParams params,
       selector_(params_.route, params_.nodes, sim.rng().Fork()),
       admission_(params_.nodes, params_.admission),
       registry_(params_.detector), policy_(std::move(policy)),
-      hedge_(sim, params_.hedge), slo_(params_.slo_deadline),
+      slo_(params_.slo_deadline),
       // The retry stream is forked only when retries are on, so configs
       // without them draw exactly the same RNG sequence as before the
       // retry layer existed.
       retry_(params_.retry,
              params_.retry.enabled ? sim.rng().Fork() : Rng(0)),
+      // A hedged read's candidates: at most 1 + max_hedges of the key's
+      // replicas.
+      ops_(params_.hedge_reads ? std::min(params_.hedge.max_hedges,
+                                          params_.shard.replication - 1) +
+                                     1
+                               : 0),
       client_port_(params_.nodes) {
   params_.net.ports = std::max(params_.net.ports, params_.nodes + 1);
   switch_ = std::make_unique<Switch>(sim_, params_.net, nullptr, recorder_);
@@ -217,6 +234,10 @@ OpTable::Id KvService::BeginOp(uint64_t key, bool is_read, uint64_t tag) {
 
 void KvService::FinishOp(OpTable::Id id, bool ok) {
   const uint32_t slot = OpTable::RawSlot(id);
+  // A hedged read that succeeds launches nothing more.
+  if (ops_.fanout[slot].launched < ops_.fanout[slot].limit) {
+    sim_.Cancel(ops_.timer[slot]);
+  }
   const SimTime now = sim_.Now();
   const SimTime t0 = ops_.t0[slot];
   const uint64_t trace_id = ops_.trace_id[slot];
@@ -266,11 +287,8 @@ const std::vector<CompletionRecord>& KvService::DrainCompletions() {
   return drained_;
 }
 
-void KvService::AttemptFailed(OpTable::Id id, bool admitted_this_attempt) {
+void KvService::AttemptFailed(OpTable::Id id) {
   const uint32_t slot = OpTable::RawSlot(id);
-  if (admitted_this_attempt) {
-    ops_.flags[slot] |= OpTable::kAdmittedAny;
-  }
   const RetryPolicy::Decision d =
       retry_.Consider(ops_.attempts[slot], sim_.Now() - ops_.t0[slot]);
   if (!d.retry) {
@@ -280,13 +298,7 @@ void KvService::AttemptFailed(OpTable::Id id, bool admitted_this_attempt) {
   // The op has no other outstanding continuation once an attempt fails, so
   // the backoff timer is the sole owner: the slot is guaranteed live when
   // it fires.
-  sim_.Schedule(d.backoff, [this, id] {
-    if ((ops_.flags[OpTable::RawSlot(id)] & OpTable::kIsRead) != 0) {
-      StartReadAttempt(id);
-    } else {
-      StartWriteAttempt(id);
-    }
-  });
+  sim_.Schedule(d.backoff, [this, id] { StartAttempt(id); });
 }
 
 bool KvService::IsMiss(int node, uint64_t key) const {
@@ -300,7 +312,7 @@ bool KvService::IsMiss(int node, uint64_t key) const {
   return s.find(key) == s.end();
 }
 
-void KvService::Dispatch(double work, SimTime t0, const AttemptCtx& ctx) {
+void KvService::Dispatch(double work, const AttemptCtx& ctx) {
   // Outstanding already includes this op's admission slot; the registry is
   // charged the expected time for the whole admitted backlog, so queueing
   // at a healthy node does not read as a stutter.
@@ -309,30 +321,29 @@ void KvService::Dispatch(double work, SimTime t0, const AttemptCtx& ctx) {
       work * static_cast<double>(std::max(admission_.outstanding(node), 1));
   // The whole request -> compute -> response chain captures only PODs
   // (~80 bytes), so every stage lives inside the InlineFunction buffer:
-  // no heap allocation per attempt.
+  // no heap allocation per request.
   NetMessage request;
   request.src = client_port_;
   request.dst = node;
   request.bytes = params_.request_bytes;
-  request.done = [this, work, backlog_units, t0, ctx](SimTime) {
+  request.done = [this, work, backlog_units, ctx](SimTime) {
     nodes_[static_cast<size_t>(ctx.node)]->Compute(
-        work,
-        [this, backlog_units, t0, ctx](const IoResult& computed) {
+        work, [this, backlog_units, ctx](const IoResult& computed) {
           NetMessage response;
           response.src = ctx.node;
           response.dst = client_port_;
           response.bytes = params_.response_bytes;
           const bool ok = computed.ok;
-          response.done = [this, backlog_units, t0, ok, ctx](SimTime) {
+          response.done = [this, backlog_units, ok, ctx](SimTime) {
             admission_.Release(ctx.node);
             const SimTime now = sim_.Now();
             if (ok) {
               registry_.Observe(channels_[static_cast<size_t>(ctx.node)], now,
-                                backlog_units, now - t0);
+                                backlog_units, now - ctx.t0);
               if (live_ != nullptr) {
                 // Same backlog normalization as the registry, so the live
                 // plane and the detectors argue over the same quantity.
-                live_->ObserveNode(ctx.node, now, backlog_units, now - t0);
+                live_->ObserveNode(ctx.node, now, backlog_units, now - ctx.t0);
               }
             } else {
               registry_.ObserveFailure(channels_[static_cast<size_t>(ctx.node)],
@@ -346,353 +357,192 @@ void KvService::Dispatch(double work, SimTime t0, const AttemptCtx& ctx) {
   switch_->Send(std::move(request));
 }
 
-void KvService::DispatchCb(int node, double work, SimTime t0, IoCallback cb) {
-  const double backlog_units =
-      work * static_cast<double>(std::max(admission_.outstanding(node), 1));
-  NetMessage request;
-  request.src = client_port_;
-  request.dst = node;
-  request.bytes = params_.request_bytes;
-  request.done = [this, node, work, backlog_units, t0,
-                  cb = std::move(cb)](SimTime) mutable {
-    nodes_[static_cast<size_t>(node)]->Compute(
-        work, [this, node, backlog_units, t0,
-               cb = std::move(cb)](const IoResult& computed) mutable {
-          NetMessage response;
-          response.src = node;
-          response.dst = client_port_;
-          response.bytes = params_.response_bytes;
-          const bool ok = computed.ok;
-          response.done = [this, node, backlog_units, t0, ok,
-                           cb = std::move(cb)](SimTime) mutable {
-            admission_.Release(node);
-            const SimTime now = sim_.Now();
-            if (ok) {
-              registry_.Observe(channels_[static_cast<size_t>(node)], now,
-                                backlog_units, now - t0);
-              if (live_ != nullptr) {
-                live_->ObserveNode(node, now, backlog_units, now - t0);
-              }
-            } else {
-              registry_.ObserveFailure(channels_[static_cast<size_t>(node)],
-                                       now);
-            }
-            if (cb) {
-              IoResult r;
-              r.ok = ok;
-              r.issued = t0;
-              r.completed = now;
-              cb(r);
-            }
-          };
-          switch_->Send(std::move(response));
-        });
-  };
-  switch_->Send(std::move(request));
+bool KvService::StoreVersion(const AttemptCtx& ctx) {
+  if (nodes_[static_cast<size_t>(ctx.node)]->has_failed()) {
+    return false;
+  }
+  auto& stored = store_[static_cast<size_t>(ctx.node)][ctx.key];
+  if (ctx.version > stored) {
+    stored = ctx.version;
+  }
+  return true;
 }
 
 void KvService::OnAttemptComplete(const AttemptCtx& ctx, bool ok) {
+  // Side effects every answer owes, stale or not.
   switch (ctx.kind) {
-    case kCtxRead: {
-      bool read_ok = ok;
-      if (read_ok && IsMiss(ctx.node, ctx.key)) {
+    case kCtxRead:
+      if (ok && IsMiss(ctx.node, ctx.key)) {
         // The node is healthy but does not hold the key (fresh ring
-        // successor after a crash): fail the attempt over without blaming
+        // successor after a crash): a failed answer that does not blame
         // the node's performance state.
         ++read_misses_;
-        read_ok = false;
+        ok = false;
       }
-      // A non-hedged read has exactly one outstanding continuation — this
-      // one — so the op is guaranteed live here.
-      if (read_ok) {
-        FinishOp(ctx.op_id, true);
-      } else {
-        AttemptFailed(ctx.op_id, true);
-      }
-      return;
-    }
-    case kCtxWrite: {
-      // Side effects every completion owes regardless of op liveness: the
-      // mirror backlog gauge and the store install both act purely on
-      // captured values (a completion racing a crash must not resurrect
-      // data the crash wiped, hence the has_failed() guard).
-      if (ctx.mirror != 0) {
+      break;
+    case kCtxWrite:
+      if (ctx.secondary != 0) {
         --mirror_backlog_;
       }
-      if (data_plane() && ok &&
-          !nodes_[static_cast<size_t>(ctx.node)]->has_failed()) {
-        auto& slot_ver = store_[static_cast<size_t>(ctx.node)][ctx.key];
-        if (ctx.version > slot_ver) {
-          slot_ver = ctx.version;
-        }
+      if (data_plane() && ok) {
+        StoreVersion(ctx);
       }
-      // Quorum bookkeeping only if the op is still live *and* these
-      // results belong to its current attempt; stale completions were
-      // already inert under the legacy shared-state scheme.
-      const int64_t s = ops_.SlotOf(ctx.op_id);
-      if (s < 0) {
-        return;
-      }
-      const auto slot = static_cast<size_t>(s);
-      if (ops_.attempts[slot] != ctx.attempt_no) {
-        return;
-      }
-      ++ops_.wa_completed[slot];
-      if (ok) {
-        ++ops_.wa_ok[slot];
-      }
-      const bool reported = (ops_.flags[slot] & OpTable::kWaReported) != 0;
-      if (!reported && ops_.wa_ok[slot] >= ops_.wa_quorum[slot]) {
-        ops_.flags[slot] |= OpTable::kWaReported;
-        if (data_plane()) {
-          auto& v = acked_[ctx.key];
-          if (ctx.version > v) {
-            v = ctx.version;
-            if (params_.recovery.enabled) {
-              repair_due_.insert(ctx.key);
-            }
-          }
-        }
-        FinishOp(ctx.op_id, true);
-      } else if (!reported &&
-                 ops_.wa_completed[slot] == ops_.wa_dispatched[slot]) {
-        // Every admitted replica has answered and quorum is unreachable.
-        ops_.flags[slot] |= OpTable::kWaReported;
-        AttemptFailed(ctx.op_id, true);
-      }
-      return;
-    }
-    case kCtxRepair: {
-      if (ok && !nodes_[static_cast<size_t>(ctx.node)]->has_failed()) {
-        auto& slot_ver = store_[static_cast<size_t>(ctx.node)][ctx.key];
-        if (ctx.version > slot_ver) {
-          slot_ver = ctx.version;
-        }
+      break;
+    case kCtxRepair:
+      if (ok && StoreVersion(ctx)) {
         ++keys_repaired_;
       }
       return;
+  }
+  // Quorum accounting only for the live op's current attempt. Once an op
+  // succeeds its row is freed, so every later answer lands here.
+  const int64_t s = ops_.SlotOf(ctx.op_id);
+  if (s < 0 || ops_.attempts[static_cast<size_t>(s)] != ctx.attempt_no) {
+    if (ctx.hedged != 0) {
+      ++hedge_stats_.wasted_completions;
     }
-    case kCtxNmrRead: {
-      // Per-replica miss handling first (a healthy node without the key is
-      // a failed vote, not a failed node), then write-style quorum
-      // accounting: the op acks at the quorum-th agreeing success and
-      // fails over only when every issued replica has answered.
-      bool read_ok = ok;
-      if (read_ok && IsMiss(ctx.node, ctx.key)) {
-        ++read_misses_;
-        read_ok = false;
+    return;
+  }
+  Tally(ctx, ok);
+}
+
+void KvService::Tally(const AttemptCtx& ctx, bool ok) {
+  const uint32_t slot = OpTable::RawSlot(ctx.op_id);
+  OpTable::Fanout& f = ops_.fanout[slot];
+  ++f.answered;
+  if (ok && ++f.ok >= f.quorum) {
+    if (ctx.kind == kCtxWrite) {
+      if (data_plane()) {
+        auto& v = acked_[ctx.key];
+        if (ctx.version > v) {
+          v = ctx.version;
+          if (params_.recovery.enabled) {
+            repair_due_.insert(ctx.key);
+          }
+        }
       }
-      const int64_t s = ops_.SlotOf(ctx.op_id);
-      if (s < 0) {
-        return;  // op already reported and was freed: stale vote
-      }
-      const auto slot = static_cast<size_t>(s);
-      if (ops_.attempts[slot] != ctx.attempt_no) {
-        return;
-      }
-      ++ops_.wa_completed[slot];
-      if (read_ok) {
-        ++ops_.wa_ok[slot];
-      }
-      const bool reported = (ops_.flags[slot] & OpTable::kWaReported) != 0;
-      if (!reported && ops_.wa_ok[slot] >= ops_.wa_quorum[slot]) {
-        ops_.flags[slot] |= OpTable::kWaReported;
-        ++nmr_acks_;
-        FinishOp(ctx.op_id, true);
-      } else if (!reported &&
-                 ops_.wa_completed[slot] == ops_.wa_dispatched[slot]) {
-        ops_.flags[slot] |= OpTable::kWaReported;
-        AttemptFailed(ctx.op_id, true);
-      }
-      return;
+    } else if (IsNmrRead(ctx.key)) {
+      ++nmr_acks_;
+    } else if (ctx.hedged != 0 && ctx.secondary != 0) {
+      ++hedge_stats_.hedge_wins;
     }
+    FinishOp(ctx.op_id, true);
+  } else if (f.launched < f.limit) {
+    // A hedged read fails over at once instead of waiting out the delay.
+    sim_.Cancel(ops_.timer[slot]);
+    Launch(ctx.op_id, ctx.t0);
+  } else if (f.answered == f.launched) {
+    // Every launch has answered and the quorum is out of reach.
+    AttemptFailed(ctx.op_id);
   }
 }
 
 void KvService::GetTagged(uint64_t key, uint64_t tag) {
-  StartReadAttempt(BeginOp(key, /*is_read=*/true, tag));
-}
-
-void KvService::StartReadAttempt(OpTable::Id id) {
-  const uint32_t slot = OpTable::RawSlot(id);
-  ++ops_.attempts[slot];
-  const SimTime attempt_start = sim_.Now();
-  const uint64_t key = ops_.key[slot];
-  shard_map_.ReplicasFor(key, replicas_scratch_);
-  selector_.RankInto(replicas_scratch_, depth_fn_, ranked_scratch_);
-  if (ranked_scratch_.empty()) {
-    AttemptFailed(id, false);
-    return;
-  }
-  if (params_.nmr.enabled) {
-    const uint64_t stride =
-        params_.nmr.key_stride == 0 ? 1 : params_.nmr.key_stride;
-    if (key % stride == 0) {
-      if (!StartNmrFanout(id)) {
-        AttemptFailed(id, false);
-      }
-      return;
-    }
-  }
-  if (params_.hedge_reads && ranked_scratch_.size() > 1) {
-    IssueHedged(ranked_scratch_, id);
-    return;
-  }
-  for (int node : ranked_scratch_) {
-    if (!admission_.TryAdmit(node)) {
-      continue;
-    }
-    AttemptCtx ctx;
-    ctx.op_id = id;
-    ctx.key = key;
-    ctx.node = node;
-    ctx.kind = kCtxRead;
-    Dispatch(params_.read_work, attempt_start, ctx);
-    return;
-  }
-  AttemptFailed(id, false);
-}
-
-bool KvService::StartNmrFanout(OpTable::Id id) {
-  // Caller (StartReadAttempt) has already bumped the attempt counter and
-  // filled ranked_scratch_ with the admissible ranking for this key.
-  const uint32_t slot = OpTable::RawSlot(id);
-  const int32_t attempt_no = ops_.attempts[slot];
-  const SimTime attempt_start = sim_.Now();
-  const uint64_t key = ops_.key[slot];
-  ops_.wa_dispatched[slot] = 0;
-  ops_.wa_completed[slot] = 0;
-  ops_.wa_ok[slot] = 0;
-  ops_.flags[slot] &= static_cast<uint8_t>(~OpTable::kWaReported);
-  const int want = std::max(1, params_.nmr.issue);
-  int16_t dispatched = 0;
-  for (int node : ranked_scratch_) {
-    if (dispatched >= want) {
-      break;
-    }
-    if (!admission_.TryAdmit(node)) {
-      continue;
-    }
-    ++dispatched;
-    AttemptCtx ctx;
-    ctx.op_id = id;
-    ctx.key = key;
-    ctx.attempt_no = attempt_no;
-    ctx.node = node;
-    ctx.kind = kCtxNmrRead;
-    Dispatch(params_.read_work, attempt_start, ctx);
-  }
-  if (dispatched == 0) {
-    return false;
-  }
-  // Quorum can never exceed what was actually issued, or the op would hang
-  // waiting for votes that cannot arrive. Completions are all scheduled
-  // events, so none can observe these stores early.
-  ops_.wa_quorum[slot] = static_cast<int16_t>(
-      std::clamp(params_.nmr.quorum, 1, static_cast<int>(dispatched)));
-  ops_.wa_dispatched[slot] = dispatched;
-  ++nmr_reads_;
-  return true;
-}
-
-void KvService::IssueHedged(const std::vector<int>& ranked, OpTable::Id id) {
-  const SimTime attempt_start = sim_.Now();
-  const uint64_t key = ops_.key[OpTable::RawSlot(id)];
-  const int attempts_allowed = std::min(
-      static_cast<int>(ranked.size()), 1 + std::max(params_.hedge.max_hedges, 0));
-  std::vector<HedgedOp::Attempt> attempts;
-  attempts.reserve(static_cast<size_t>(attempts_allowed));
-  for (int i = 0; i < attempts_allowed; ++i) {
-    const int node = ranked[static_cast<size_t>(i)];
-    attempts.push_back([this, node, attempt_start, id, key](IoCallback cb) {
-      if (!admission_.TryAdmit(node)) {
-        IoResult r;
-        r.ok = false;
-        r.issued = attempt_start;
-        r.completed = sim_.Now();
-        cb(r);
-        return;
-      }
-      // A hedge duplicate can launch after the op already reported (the
-      // delay timer raced the primary's answer), so the flag write is
-      // generation-checked.
-      const int64_t s = ops_.SlotOf(id);
-      if (s >= 0) {
-        ops_.flags[static_cast<size_t>(s)] |= OpTable::kAdmittedAny;
-      }
-      DispatchCb(node, params_.read_work, attempt_start,
-                 [this, node, key, cb = std::move(cb)](const IoResult& r) mutable {
-                   IoResult out = r;
-                   if (out.ok && IsMiss(node, key)) {
-                     ++read_misses_;
-                     out.ok = false;
-                   }
-                   cb(out);
-                 });
-    });
-  }
-  hedge_.Issue(std::move(attempts), [this, id](const IoResult& r) {
-    // HedgedOp fires this exactly once, and it is the op's sole terminal
-    // decision point, so the op is live here.
-    if (r.ok) {
-      FinishOp(id, true);
-    } else {
-      AttemptFailed(id, false);  // admitted_any already recorded on the op
-    }
-  });
+  StartAttempt(BeginOp(key, /*is_read=*/true, tag));
 }
 
 void KvService::PutTagged(uint64_t key, uint64_t tag) {
-  StartWriteAttempt(BeginOp(key, /*is_read=*/false, tag));
+  StartAttempt(BeginOp(key, /*is_read=*/false, tag));
 }
 
-void KvService::StartWriteAttempt(OpTable::Id id) {
+void KvService::StartAttempt(OpTable::Id id) {
   const uint32_t slot = OpTable::RawSlot(id);
-  const int32_t attempt_no = ++ops_.attempts[slot];
-  const SimTime attempt_start = sim_.Now();
-  const uint64_t key = ops_.key[slot];
-  const uint64_t version = ops_.version[slot];
-  shard_map_.ReplicasFor(key, replicas_scratch_);
-  const std::vector<int>& replicas = replicas_scratch_;
-  if (replicas.empty()) {
-    AttemptFailed(id, false);
+  const bool read = (ops_.flags[slot] & OpTable::kIsRead) != 0;
+  AttemptCtx ctx;
+  ctx.op_id = id;
+  ctx.key = ops_.key[slot];
+  ctx.version = ops_.version[slot];
+  ctx.t0 = sim_.Now();
+  ctx.attempt_no = ++ops_.attempts[slot];
+  ctx.kind = read ? kCtxRead : kCtxWrite;
+  ops_.fanout[slot] = OpTable::Fanout{};
+
+  // The fan-out spec (see the table in cluster.h).
+  shard_map_.ReplicasFor(ctx.key, replicas_scratch_);
+  const std::vector<int>* cands = &replicas_scratch_;  // a write: ring order
+  size_t issue = replicas_scratch_.size();
+  int quorum = params_.write_quorum;
+  const bool nmr = read && IsNmrRead(ctx.key);
+  if (read) {
+    selector_.RankInto(replicas_scratch_, depth_fn_, ranked_scratch_);
+    cands = &ranked_scratch_;
+    issue = nmr ? static_cast<size_t>(params_.nmr.issue) : 1;
+    quorum = nmr ? params_.nmr.quorum : 1;
+  }
+  if (cands->empty()) {
+    AttemptFailed(id);
     return;
   }
-  ops_.wa_dispatched[slot] = 0;
-  ops_.wa_completed[slot] = 0;
-  ops_.wa_ok[slot] = 0;
-  ops_.wa_quorum[slot] = static_cast<int16_t>(std::clamp(
-      params_.write_quorum, 1, static_cast<int>(replicas.size())));
-  ops_.flags[slot] &= static_cast<uint8_t>(~OpTable::kWaReported);
-
-  int16_t dispatched = 0;
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    const int node = replicas[i];
-    if (!admission_.TryAdmit(node)) {
+  if (read && !nmr && params_.hedge_reads && cands->size() > 1) {
+    const size_t n = std::min(cands->size(), ops_.cand_width());
+    std::copy_n(cands->begin(), n, ops_.cands_of(slot));
+    ops_.fanout[slot].limit = static_cast<int16_t>(n);
+    ops_.fanout[slot].quorum = 1;
+    ++hedge_stats_.operations;
+    Launch(id, ctx.t0);
+    return;
+  }
+  int16_t issued = 0;
+  for (size_t i = 0; i < cands->size() && static_cast<size_t>(issued) < issue;
+       ++i) {
+    ctx.node = (*cands)[i];
+    if (!admission_.TryAdmit(ctx.node)) {
       continue;
     }
-    ++dispatched;
-    const bool mirror = i > 0;
-    if (mirror) {
+    ++issued;
+    ctx.secondary = i > 0 ? 1 : 0;
+    if (!read && i > 0) {
       ++mirror_backlog_;
       peak_mirror_backlog_ = std::max(peak_mirror_backlog_, mirror_backlog_);
     }
-    AttemptCtx ctx;
-    ctx.op_id = id;
-    ctx.key = key;
-    ctx.version = version;
-    ctx.attempt_no = attempt_no;
-    ctx.node = node;
-    ctx.kind = kCtxWrite;
-    ctx.mirror = mirror ? 1 : 0;
-    Dispatch(params_.write_work, attempt_start, ctx);
+    Dispatch(read ? params_.read_work : params_.write_work, ctx);
   }
-  // Completions are all scheduled events, so none can observe
-  // wa_dispatched before this store.
-  ops_.wa_dispatched[slot] = dispatched;
-  if (dispatched == 0) {
-    AttemptFailed(id, false);
+  if (issued == 0) {
+    AttemptFailed(id);
+    return;
   }
+  // Answers are all scheduled events, so none can observe these stores
+  // early. The quorum never exceeds what a read actually issued, or the op
+  // would wait for answers that cannot arrive.
+  ops_.flags[slot] |= OpTable::kAdmittedAny;
+  OpTable::Fanout& f = ops_.fanout[slot];
+  f.launched = issued;
+  f.limit = issued;
+  f.quorum = static_cast<int16_t>(std::clamp(
+      quorum, 1, read ? static_cast<int>(issued)
+                      : static_cast<int>(cands->size())));
+  if (nmr) {
+    ++nmr_reads_;
+  }
+}
+
+void KvService::Launch(OpTable::Id id, SimTime t0) {
+  const uint32_t slot = OpTable::RawSlot(id);
+  const int16_t index = ops_.fanout[slot].launched++;
+  if (index > 0) {
+    ++hedge_stats_.hedges_launched;
+  }
+  // Arm the next launch before this one is sent: it may fail at once.
+  // Success and failover cancel it, so the op is live when it fires.
+  if (index + 1 < ops_.fanout[slot].limit) {
+    ops_.timer[slot] = sim_.Schedule(params_.hedge.hedge_delay,
+                                     [this, id, t0] { Launch(id, t0); });
+  }
+  AttemptCtx ctx;
+  ctx.op_id = id;
+  ctx.key = ops_.key[slot];
+  ctx.t0 = t0;
+  ctx.attempt_no = ops_.attempts[slot];
+  ctx.node = ops_.cands_of(slot)[index];
+  ctx.kind = kCtxRead;
+  ctx.secondary = index > 0 ? 1 : 0;
+  ctx.hedged = 1;
+  if (!admission_.TryAdmit(ctx.node)) {
+    Tally(ctx, false);
+    return;
+  }
+  ops_.flags[slot] |= OpTable::kAdmittedAny;
+  Dispatch(params_.read_work, ctx);
 }
 
 // -- Crash-recovery lifecycle --
@@ -888,9 +738,10 @@ void KvService::RepairStep() {
         AttemptCtx ctx;
         ctx.key = key;
         ctx.version = ver;
+        ctx.t0 = sim_.Now();
         ctx.node = target;
         ctx.kind = kCtxRepair;
-        Dispatch(work, sim_.Now(), ctx);
+        Dispatch(work, ctx);
         sim_.Schedule(interval, [this] { RepairStep(); });
         return;
       }

@@ -82,13 +82,15 @@ struct RecoveryParams {
 // N-modular-redundancy read issue: designated read classes are issued to
 // `issue` replicas at once and complete at the `quorum`-th agreeing
 // success — the classic NMR pattern applied to reads, trading replica work
-// for immunity to a single stuttering or failed replica. Default-off: the
-// read path is untouched and historical digests unchanged.
+// for immunity to a single stuttering or failed replica. It is one setting
+// of the service's fan-out spec (KvService::StartAttempt). Default-off:
+// the read path is untouched and historical digests unchanged.
 struct NmrParams {
   bool enabled = false;
-  // Replicas to issue to (clamped to the admissible replica set).
+  // Replicas to issue to (the first `issue` admissible ones in rank order).
   int issue = 2;
-  // Agreeing successes required before the op acks.
+  // Agreeing successes required before the op acks (clamped to the
+  // replicas actually issued).
   int quorum = 1;
   // A read is designated for NMR when key % key_stride == 0; stride 1
   // applies it to every read.
@@ -145,10 +147,11 @@ class KvService {
  public:
   // Throws std::invalid_argument unless `params` describes a cluster the
   // service can run: nodes >= 1, shard.replication in [1, nodes],
-  // write_quorum in [1, replication], nmr.quorum in [1, nmr.issue]
-  // when NMR is on, admission.max_outstanding_per_node >= 1, and a
-  // positive live.window when the live plane is on. With recovery on,
-  // heartbeat_every and liveness_timeout must be positive and
+  // write_quorum in [1, replication], admission.max_outstanding_per_node
+  // >= 1. With hedge_reads on, hedge.max_hedges >= 0 and hedge.hedge_delay
+  // >= 0; with NMR on, nmr.quorum in [1, nmr.issue] and nmr.key_stride
+  // >= 1; with the live plane on, a positive live.window. With recovery
+  // on, heartbeat_every and liveness_timeout must be positive and
   // repair_keys_per_sec must be 0 (off) or a finite rate whose interval
   // 1/rate is at least 1 ns and fits a Duration.
   KvService(Simulator& sim, ClusterParams params,
@@ -162,7 +165,7 @@ class KvService {
   // fails once no quorum is reachable). Either way the op's SLO outcome is
   // recorded the instant it terminates, and {tag, outcome} is appended to
   // the completion ring (`tag` is caller context such as a client id) —
-  // zero per-op allocation end to end.
+  // zero per-op allocation end to end, hedged reads included.
   void GetTagged(uint64_t key, uint64_t tag);
   void PutTagged(uint64_t key, uint64_t tag);
 
@@ -205,7 +208,10 @@ class KvService {
   // Null when the live plane is disabled.
   LivePlane* live() { return live_.get(); }
   const LivePlane* live() const { return live_.get(); }
-  const HedgeStats& hedge_stats() const { return hedge_.stats(); }
+  // Hedged reads: attempts issued hedged, launches after the first (timer
+  // or failover), successes by a launch after the first, and answers that
+  // arrived after their op succeeded.
+  const HedgeStats& hedge_stats() const { return hedge_stats_; }
   const ClusterParams& params() const { return params_; }
 
   // -- Control-plane seam --
@@ -253,6 +259,8 @@ class KvService {
   }
 
   // -- NMR observability --
+  // Attempts fanned out NMR-style (at least one replica admitted), and NMR
+  // reads that reached their quorum.
   int64_t nmr_reads() const { return nmr_reads_; }
   int64_t nmr_acks() const { return nmr_acks_; }
 
@@ -275,22 +283,25 @@ class KvService {
   int64_t under_replicated_keys() const;
 
  private:
-  // Attempt kinds for the enum-dispatched completion path.
-  enum : uint8_t { kCtxRead = 0, kCtxWrite = 1, kCtxRepair = 2, kCtxNmrRead = 3 };
+  // Request kinds for the enum-dispatched answer path.
+  enum : uint8_t { kCtxRead = 0, kCtxWrite = 1, kCtxRepair = 2 };
 
-  // Everything one service attempt's completion needs, carried by value
+  // Everything one replica request's answer needs, carried by value
   // through the dispatch chain (request -> compute -> response). A POD
   // small enough that the whole chain stays inside InlineFunction's buffer:
-  // no per-attempt heap allocation, and late completions act purely on
-  // these captured values plus a generation-checked op-table lookup.
+  // no per-request heap allocation, and late answers act purely on these
+  // captured values plus a generation-checked op-table lookup.
   struct AttemptCtx {
     OpTable::Id op_id = 0;   // 0 for repair (no logical op)
     uint64_t key = 0;
     uint64_t version = 0;    // writes/repair: version being installed
-    int32_t attempt_no = 0;  // writes: which attempt these results belong to
+    SimTime t0;              // attempt start: the detectors' latency origin
+    int32_t attempt_no = 0;  // which of the op's attempts this belongs to
     int32_t node = 0;
     uint8_t kind = kCtxRead;
-    uint8_t mirror = 0;      // writes: non-primary replica
+    uint8_t secondary = 0;   // candidate position > 0: a write's mirror, a
+                             // hedged read's duplicate
+    uint8_t hedged = 0;      // launched by a hedged read
   };
 
   // Arrival bookkeeping shared by GetTagged/PutTagged: counters, SLO
@@ -302,32 +313,55 @@ class KvService {
   // staged trace row. `id` must be live.
   void FinishOp(OpTable::Id id, bool ok);
 
-  // One admitted attempt against ctx.node: request over the switch,
+  // One admitted request against ctx.node: request over the switch,
   // compute, response back, then registry observation + admission release,
-  // ending in OnAttemptComplete(ctx, ...). The whole chain lives in
-  // InlineFunction buffers.
-  void Dispatch(double work, SimTime t0, const AttemptCtx& ctx);
-  // Callback-taking variant for the hedged path (HedgedOp reconciles the
-  // attempts itself, so its completions cannot be enum-dispatched).
-  void DispatchCb(int node, double work, SimTime t0, IoCallback cb);
+  // ending in OnAttemptComplete(ctx, ...). Every read, write and repair
+  // request goes through here; the whole chain lives in InlineFunction
+  // buffers.
+  void Dispatch(double work, const AttemptCtx& ctx);
 
-  // Enum-dispatched attempt completion: read miss/finish logic, write
-  // quorum accounting, repair store install.
+  // Enum-dispatched answer: the side effects every answer owes (read miss
+  // check, write store install and mirror gauge, repair install), then
+  // Tally for the live op's current attempt. Stale answers stop before
+  // Tally; a hedged one counts as wasted.
   void OnAttemptComplete(const AttemptCtx& ctx, bool ok);
 
-  void IssueHedged(const std::vector<int>& ranked, OpTable::Id id);
+  // The attempt engine. Each attempt of an op is one fan-out spec: its
+  // candidate replicas, how many to issue now, how many more may launch
+  // later, and the quorum q of successful answers that completes the op.
+  //
+  //   op          candidates           issue now          later      q
+  //   plain read  ranked replicas      first admissible   none       1
+  //   NMR read    ranked replicas      first nmr.issue    none       nmr.quorum
+  //                                    admissible                    (<= issued)
+  //   hedged read first 1+max_hedges   one                one per    1
+  //               ranked               hedge_delay, or at once after
+  //                                    a failed answer
+  //   write       ring order           every admissible   none       write_quorum
+  //                                                                  (<= replicas)
+  //
+  // NMR applies to keys with key % nmr.key_stride == 0 (checked before
+  // hedging); hedging to the other reads once two replicas rank. The
+  // attempt fails when every launch has answered and q was not reached
+  // (or nothing could be admitted); RetryPolicy then backs off and
+  // re-enters StartAttempt, or the op terminates.
+  void StartAttempt(OpTable::Id id);
+  // One hedged launch, the op's next candidate: arms the following launch
+  // first, then admits and dispatches (a launch that cannot be admitted is
+  // a failed answer).
+  void Launch(OpTable::Id id, SimTime t0);
+  // Counts one answer of the live op's current attempt: completes the op
+  // at q successes, else fails over to the next hedged candidate, else
+  // fails the attempt once every launch has answered.
+  void Tally(const AttemptCtx& ctx, bool ok);
+  void AttemptFailed(OpTable::Id id);
 
-  // Retry loop: one service attempt per call; a failed attempt consults the
-  // RetryPolicy and either backs off and re-enters or reports terminally.
-  void StartReadAttempt(OpTable::Id id);
-  void StartWriteAttempt(OpTable::Id id);
-  void AttemptFailed(OpTable::Id id, bool admitted_this_attempt);
-
-  // NMR read issue: dispatches one "attempt" as a k-of-n fan-out over the
-  // admissible ranked replicas, completing at the quorum-th success via the
-  // write-style wa_* accounting columns. Returns false when fewer than one
-  // replica is admissible (caller falls back to the shed/retry path).
-  bool StartNmrFanout(OpTable::Id id);
+  bool IsNmrRead(uint64_t key) const {
+    return params_.nmr.enabled && key % params_.nmr.key_stride == 0;
+  }
+  // Installs ctx.version on a live ctx.node; false if the node is down (a
+  // completion racing a crash must not resurrect data the crash wiped).
+  bool StoreVersion(const AttemptCtx& ctx);
 
   // Data plane (active when track_data or recovery.enabled): a read attempt
   // at `node` misses when the key is acked but absent from the node's
@@ -364,7 +398,7 @@ class KvService {
   AdmissionController admission_;
   PerformanceStateRegistry registry_;
   std::unique_ptr<ReactionPolicy> policy_;
-  HedgedOp hedge_;
+  HedgeStats hedge_stats_;
   SloTracker slo_;
   std::unique_ptr<LivePlane> live_;  // null unless params.live.enabled
   SimTime telemetry_until_;
@@ -372,7 +406,8 @@ class KvService {
   std::map<std::string, int> name_to_index_;
   ControlRoute control_route_;
 
-  // Columnar op core: slab table of in-flight ops + completion ring.
+  // Columnar op core: slab table of in-flight ops (with a candidate row as
+  // wide as the widest hedge) + completion ring.
   OpTable ops_;
   CompletionRing completions_;
   std::vector<CompletionRecord> drained_;
@@ -385,7 +420,8 @@ class KvService {
   // Hot-path caches: per-node registry channels (skip the name hash on
   // every observation), one reusable DepthFn, and routing scratch buffers
   // (never reused across a call that can re-enter routing: Dispatch only
-  // schedules events).
+  // schedules events, and a hedged attempt copies its candidates into its
+  // op row).
   std::vector<PerformanceStateRegistry::ObsChannel> channels_;
   ReplicaSelector::DepthFn depth_fn_;
   std::vector<int> replicas_scratch_;  // the key's ring walk

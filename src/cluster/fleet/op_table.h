@@ -15,12 +15,17 @@
 // resolves to SlotOf(id) < 0 and is skipped instead of corrupting whatever
 // op reused the slot — the same protection the shared_ptr gave, without
 // the refcount traffic. Generations start at 1 so no valid id is ever 0.
+//
+// A hedged read keeps its attempt's state here too: its candidate replicas
+// in a fixed-width row of `cands` and its pending launch in `timer`, so
+// the hedge needs no allocation of its own.
 #ifndef SRC_CLUSTER_FLEET_OP_TABLE_H_
 #define SRC_CLUSTER_FLEET_OP_TABLE_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "src/simcore/event_queue.h"
 #include "src/simcore/time.h"
 
 namespace fst {
@@ -32,11 +37,16 @@ class OpTable {
 
   // Per-op flag bits (flags column).
   static constexpr uint8_t kIsRead = 1 << 0;
-  static constexpr uint8_t kAdmittedAny = 1 << 1;
-  static constexpr uint8_t kWaReported = 1 << 2;  // current write attempt done
+  static constexpr uint8_t kAdmittedAny = 1 << 1;  // some replica admitted it
+
+  // Each op gets `cand_width` candidate entries (0: no op stores any).
+  explicit OpTable(int cand_width = 0)
+      : cand_width_(static_cast<size_t>(cand_width)) {}
 
   // O(1): pops the free list or appends one row to every column. Per-op
-  // fields come back zeroed; the caller fills what it needs.
+  // fields come back zeroed, except the hedge columns (`timer`, `cands`),
+  // which only a hedged attempt reads, after writing them; the caller
+  // fills what it needs.
   Id Allocate() {
     uint32_t slot;
     if (!free_.empty()) {
@@ -49,10 +59,7 @@ class OpTable {
       tag[slot] = 0;
       attempts[slot] = 0;
       flags[slot] = 0;
-      wa_dispatched[slot] = 0;
-      wa_completed[slot] = 0;
-      wa_ok[slot] = 0;
-      wa_quorum[slot] = 0;
+      fanout[slot] = Fanout{};
     } else {
       slot = static_cast<uint32_t>(gen_.size());
       gen_.push_back(1);
@@ -63,10 +70,9 @@ class OpTable {
       tag.push_back(0);
       attempts.push_back(0);
       flags.push_back(0);
-      wa_dispatched.push_back(0);
-      wa_completed.push_back(0);
-      wa_ok.push_back(0);
-      wa_quorum.push_back(0);
+      fanout.push_back(Fanout{});
+      timer.push_back(EventId{});
+      cands.resize(cands.size() + cand_width_);
     }
     ++live_;
     return MakeId(slot, gen_[slot]);
@@ -98,6 +104,12 @@ class OpTable {
   size_t capacity() const { return gen_.size(); }
   size_t live() const { return live_; }
 
+  size_t cand_width() const { return cand_width_; }
+  // The op's candidate row: cand_width() entries.
+  int32_t* cands_of(uint32_t slot) {
+    return cands.data() + slot * cand_width_;
+  }
+
   // Columns, addressed by slot. Never hold a column reference across a
   // call that may Allocate (vector growth moves the storage).
   std::vector<uint64_t> key;
@@ -107,17 +119,27 @@ class OpTable {
   std::vector<uint64_t> tag;       // caller context (client id)
   std::vector<int32_t> attempts;
   std::vector<uint8_t> flags;
-  // Current write attempt's quorum bookkeeping (reset per attempt).
-  std::vector<int16_t> wa_dispatched;
-  std::vector<int16_t> wa_completed;
-  std::vector<int16_t> wa_ok;
-  std::vector<int16_t> wa_quorum;
+  // The current attempt's fan-out, for every op kind (reset per attempt).
+  struct Fanout {
+    int16_t launched = 0;
+    int16_t answered = 0;  // a launch that could not be admitted counts
+                           // as a failed answer
+    int16_t ok = 0;        // successful answers
+    int16_t quorum = 0;    // successful answers that complete the op
+    int16_t limit = 0;     // launches the attempt may make in all
+  };
+  std::vector<Fanout> fanout;
+  // A hedged attempt's pending launch, valid exactly while launched <
+  // limit, and its ranked candidates, cand_width entries per slot.
+  std::vector<EventId> timer;
+  std::vector<int32_t> cands;
 
  private:
   static Id MakeId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(gen) << 32) | slot;
   }
 
+  size_t cand_width_;
   std::vector<uint32_t> gen_;
   std::vector<uint32_t> free_;
   size_t live_ = 0;

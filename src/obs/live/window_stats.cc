@@ -108,100 +108,6 @@ double QuantileSketch::ValueAtQuantile(double q) const {
   return max_;
 }
 
-// -- TumblingCounter --
-
-TumblingCounter::TumblingCounter(Duration window, int windows_kept)
-    : window_(window), keep_(static_cast<size_t>(std::max(1, windows_kept))) {}
-
-void TumblingCounter::CloseThrough(int64_t target_index) {
-  if (!started_) {
-    started_ = true;
-    open_index_ = target_index;
-    open_ = Window{SimTime(target_index * window_.nanos()), 0.0, 0};
-    return;
-  }
-  // Materialize every elapsed window (empty ones included) so rolling
-  // spans stay contiguous, but never more than the ring keeps.
-  while (open_index_ < target_index) {
-    if (target_index - open_index_ > static_cast<int64_t>(keep_)) {
-      // A long silent gap: skip ahead, keeping only windows that could
-      // still be inside any rolling span.
-      closed_.clear();
-      open_index_ = target_index - static_cast<int64_t>(keep_);
-      open_ = Window{SimTime(open_index_ * window_.nanos()), 0.0, 0};
-      continue;
-    }
-    closed_.push_back(open_);
-    if (closed_.size() > keep_) {
-      closed_.pop_front();
-    }
-    ++open_index_;
-    open_ = Window{SimTime(open_index_ * window_.nanos()), 0.0, 0};
-  }
-}
-
-void TumblingCounter::Record(SimTime now, double amount) {
-  CloseThrough(IndexFor(now));
-  open_.total += amount;
-  ++open_.samples;
-}
-
-void TumblingCounter::AdvanceTo(SimTime now) { CloseThrough(IndexFor(now)); }
-
-double TumblingCounter::TotalInLast(Duration span) const {
-  const int64_t windows = std::max<int64_t>(
-      1, (span.nanos() + window_.nanos() - 1) / window_.nanos());
-  const size_t take =
-      std::min(closed_.size(), static_cast<size_t>(windows));
-  double total = 0.0;
-  for (size_t i = closed_.size() - take; i < closed_.size(); ++i) {
-    total += closed_[i].total;
-  }
-  return total;
-}
-
-double TumblingCounter::RatePerSecond(Duration span) const {
-  const int64_t windows = std::max<int64_t>(
-      1, (span.nanos() + window_.nanos() - 1) / window_.nanos());
-  const double seconds =
-      static_cast<double>(windows) * window_.ToSeconds();
-  return seconds > 0.0 ? TotalInLast(span) / seconds : 0.0;
-}
-
-// -- WindowedEwma --
-
-WindowedEwma::WindowedEwma(Duration window, double alpha)
-    : window_(window), alpha_(alpha) {}
-
-void WindowedEwma::CloseThrough(int64_t target_index) {
-  if (!started_) {
-    started_ = true;
-    open_index_ = target_index;
-    return;
-  }
-  if (open_index_ >= target_index) {
-    return;
-  }
-  if (open_n_ > 0) {
-    const double mean = open_sum_ / static_cast<double>(open_n_);
-    value_ = seeded_ ? alpha_ * mean + (1.0 - alpha_) * value_ : mean;
-    seeded_ = true;
-    ++folded_;
-  }
-  open_sum_ = 0.0;
-  open_n_ = 0;
-  // Any further elapsed windows are empty by construction and fold nothing.
-  open_index_ = target_index;
-}
-
-void WindowedEwma::Record(SimTime now, double x) {
-  CloseThrough(IndexFor(now));
-  open_sum_ += x;
-  ++open_n_;
-}
-
-void WindowedEwma::AdvanceTo(SimTime now) { CloseThrough(IndexFor(now)); }
-
 // -- WindowedQuantiles --
 
 WindowedQuantiles::WindowedQuantiles(Duration window, int windows_kept,

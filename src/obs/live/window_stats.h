@@ -10,13 +10,9 @@
 //    bound, 1/2^sub_bucket_bits for values >= 2^sub_bucket_bits) as the
 //    dense simcore Histogram, but O(distinct buckets) memory so one can
 //    live in every (node, window) cell;
-//  * TumblingCounter — amounts bucketed into fixed sim-time-aligned
-//    windows [k*W, (k+1)*W), keeping the last K closed windows for
-//    rolling rates;
-//  * WindowedEwma — an EWMA folded once per *closed* window with the
-//    window's sample mean (empty windows leave the value untouched);
-//  * WindowedQuantiles — a ring of per-window sketches merged on demand
-//    into rolling p50/p95/p99 over the trailing K windows.
+//  * WindowedQuantiles — a ring of per-window sketches, aligned to fixed
+//    sim-time windows [k*W, (k+1)*W), merged on demand into rolling
+//    p50/p95/p99 over the trailing K windows.
 //
 // Everything is driven by explicit sim-time and owns no RNG, so a run
 // instrumented with these is exactly as deterministic as one without.
@@ -92,82 +88,11 @@ class QuantileSketch {
   double max_ = 0.0;
 };
 
-// Counts (or any additive amount) per tumbling sim-time window. Windows
-// are aligned to the absolute grid [k*W, (k+1)*W) so counters on
-// different nodes close at identical instants and rows join by window
-// start. AdvanceTo(t) closes every window that ends at or before t; a
-// sample recorded exactly at a boundary k*W belongs to window k.
-class TumblingCounter {
- public:
-  TumblingCounter(Duration window, int windows_kept);
-
-  void Record(SimTime now, double amount = 1.0);
-  void AdvanceTo(SimTime now);
-
-  struct Window {
-    SimTime start;
-    double total = 0.0;
-    uint64_t samples = 0;
-  };
-
-  // Closed windows, oldest first, at most windows_kept. Empty windows in
-  // a gap are materialized (total 0) so rolling spans stay contiguous.
-  const std::deque<Window>& closed() const { return closed_; }
-  double open_total() const { return open_.total; }
-
-  // Sum / per-second rate over the most recent ceil(span/window) *closed*
-  // windows. Call AdvanceTo(now) first for an up-to-date view.
-  double TotalInLast(Duration span) const;
-  double RatePerSecond(Duration span) const;
-
-  Duration window() const { return window_; }
-
- private:
-  int64_t IndexFor(SimTime t) const { return t.nanos() / window_.nanos(); }
-  void CloseThrough(int64_t target_index);
-
-  Duration window_;
-  size_t keep_;
-  int64_t open_index_ = 0;
-  bool started_ = false;
-  Window open_;
-  std::deque<Window> closed_;
-};
-
-// An EWMA over per-window sample means: Record() accumulates into the
-// open window; when AdvanceTo() closes a non-empty window the EWMA folds
-// its mean in (the first non-empty window seeds the value). Windows with
-// no samples leave the value untouched — a silent component keeps its
-// last expectation rather than decaying toward zero.
-class WindowedEwma {
- public:
-  WindowedEwma(Duration window, double alpha);
-
-  void Record(SimTime now, double x);
-  void AdvanceTo(SimTime now);
-
-  double value() const { return value_; }
-  bool seeded() const { return seeded_; }
-  uint64_t windows_folded() const { return folded_; }
-
- private:
-  int64_t IndexFor(SimTime t) const { return t.nanos() / window_.nanos(); }
-  void CloseThrough(int64_t target_index);
-
-  Duration window_;
-  double alpha_;
-  int64_t open_index_ = 0;
-  bool started_ = false;
-  double open_sum_ = 0.0;
-  uint64_t open_n_ = 0;
-  double value_ = 0.0;
-  bool seeded_ = false;
-  uint64_t folded_ = 0;
-};
-
 // A ring of per-window QuantileSketches: the open window plus the last
 // windows_kept closed ones, merged on demand into rolling quantiles over
-// the trailing span. Window alignment matches TumblingCounter.
+// the trailing span. Windows are aligned to the absolute grid [k*W,
+// (k+1)*W), so rings on different nodes close at identical instants; a
+// sample recorded exactly at a boundary k*W belongs to window k.
 class WindowedQuantiles {
  public:
   WindowedQuantiles(Duration window, int windows_kept, int sub_bucket_bits = 5);

@@ -136,58 +136,6 @@ TEST(QuantileSketchTest, MergeIgnoresMismatchedGeometry) {
   EXPECT_DOUBLE_EQ(a.max(), 100.0);
 }
 
-// ----------------------------------------------------------- TumblingCounter
-
-TEST(TumblingCounterTest, BoundarySampleBelongsToTheNewWindow) {
-  TumblingCounter c(Duration::Millis(100), 4);
-  c.Record(At(0.00));           // window 0
-  c.Record(At(0.10));           // exactly on the boundary: window 1
-  c.Record(At(0.15));           // window 1
-  c.AdvanceTo(At(0.30));        // closes windows 0, 1, 2
-  ASSERT_EQ(c.closed().size(), 3u);
-  EXPECT_EQ(c.closed()[0].start.nanos(), 0);
-  EXPECT_DOUBLE_EQ(c.closed()[0].total, 1.0);
-  EXPECT_EQ(c.closed()[1].start.nanos(), Duration::Millis(100).nanos());
-  EXPECT_DOUBLE_EQ(c.closed()[1].total, 2.0);
-  EXPECT_DOUBLE_EQ(c.closed()[2].total, 0.0);  // empty but materialized
-  // The trailing 200 ms = closed windows 1 and 2.
-  EXPECT_DOUBLE_EQ(c.TotalInLast(Duration::Millis(200)), 2.0);
-  EXPECT_DOUBLE_EQ(c.RatePerSecond(Duration::Millis(200)), 10.0);
-}
-
-TEST(TumblingCounterTest, GapsMaterializeEmptyWindows) {
-  TumblingCounter c(Duration::Millis(100), 8);
-  c.Record(At(0.05), 3.0);
-  c.AdvanceTo(At(0.45));  // windows 0..3 close; 1..3 are empty
-  ASSERT_EQ(c.closed().size(), 4u);
-  EXPECT_DOUBLE_EQ(c.closed()[0].total, 3.0);
-  for (size_t i = 1; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(c.closed()[i].total, 0.0);
-    EXPECT_EQ(c.closed()[i].samples, 0u);
-  }
-}
-
-// -------------------------------------------------------------- WindowedEwma
-
-TEST(WindowedEwmaTest, SeedsFoldsAndHoldsThroughSilence) {
-  WindowedEwma e(Duration::Millis(100), 0.5);
-  EXPECT_FALSE(e.seeded());
-  e.Record(At(0.05), 10.0);
-  e.AdvanceTo(At(0.10));  // first non-empty window seeds the value
-  EXPECT_TRUE(e.seeded());
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-  e.Record(At(0.12), 18.0);
-  e.Record(At(0.18), 22.0);  // window mean 20
-  e.AdvanceTo(At(0.20));
-  EXPECT_DOUBLE_EQ(e.value(), 15.0);  // 10 + 0.5 * (20 - 10)
-  EXPECT_EQ(e.windows_folded(), 2u);
-  // Empty windows leave the expectation untouched: a silent component
-  // keeps its last expectation rather than decaying toward zero.
-  e.AdvanceTo(At(0.80));
-  EXPECT_DOUBLE_EQ(e.value(), 15.0);
-  EXPECT_EQ(e.windows_folded(), 2u);
-}
-
 // --------------------------------------------------------- WindowedQuantiles
 
 TEST(WindowedQuantilesTest, RollingMergesOpenAndKeptWindows) {
