@@ -7,10 +7,12 @@
 //
 // Set FST_TELEMETRY_DIR to also dump a Perfetto-loadable trace of each run
 // (open the .trace.json in https://ui.perfetto.dev or chrome://tracing).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/devices/disk.h"
@@ -19,7 +21,6 @@
 #include "src/obs/recorder.h"
 #include "src/raid/raid10.h"
 #include "src/simcore/simulator.h"
-#include "src/simcore/timeseries.h"
 
 namespace {
 
@@ -28,6 +29,48 @@ struct Timeline {
   std::string sparkline;
   double mean = 0.0;
 };
+
+// Delivered MB/s every 500 ms (delta of completed blocks) while `running`.
+// The first sample is taken one interval after Tick() is first called.
+struct ThroughputSampler {
+  ThroughputSampler(fst::Simulator& s, const fst::Raid10Volume& v)
+      : sim(s), volume(v) {}
+
+  fst::Simulator& sim;
+  const fst::Raid10Volume& volume;
+  bool running = true;
+  int64_t last_blocks = 0;
+  std::vector<std::pair<fst::SimTime, double>> samples;
+
+  void Tick() {
+    sim.Schedule(fst::Duration::Millis(500), [this] {
+      if (!running) {
+        return;
+      }
+      const int64_t now_blocks = volume.blocks_completed();
+      samples.emplace_back(
+          sim.Now(),
+          static_cast<double>(now_blocks - last_blocks) * 65536.0 / 1e6 / 0.5);
+      last_blocks = now_blocks;
+      Tick();
+    });
+  }
+};
+
+// One character per sample, eight levels, scaled to the series max.
+std::string Sparkline(const std::vector<std::pair<fst::SimTime, double>>& s) {
+  static const char* kLevels[] = {" ", ".", ":", "-", "=", "+", "*", "#"};
+  double max = 0.0;
+  for (const auto& [t, v] : s) {
+    max = std::max(max, v);
+  }
+  std::string out;
+  for (const auto& [t, v] : s) {
+    const int level = max > 0.0 ? static_cast<int>(v / max * 7.999) : 0;
+    out += kLevels[std::clamp(level, 0, 7)];
+  }
+  return out;
+}
 
 Timeline RunTimeline(fst::StriperKind kind, fst::EventRecorder* events) {
   fst::Simulator sim(77);
@@ -52,24 +95,21 @@ Timeline RunTimeline(fst::StriperKind kind, fst::EventRecorder* events) {
   config.striper = kind;
   fst::Raid10Volume volume(sim, config, raw);
 
-  // Sample delivered MB/s every 500 ms (delta of completed blocks).
-  fst::TimeSeriesRecorder recorder(sim, fst::Duration::Millis(500));
-  auto last_blocks = std::make_shared<int64_t>(0);
-  recorder.Start([&volume, last_blocks]() {
-    const int64_t now_blocks = volume.blocks_completed();
-    const double mbps =
-        static_cast<double>(now_blocks - *last_blocks) * 65536.0 / 1e6 / 0.5;
-    *last_blocks = now_blocks;
-    return mbps;
-  });
-
-  volume.WriteBlocks(12000, [&](const fst::BatchResult&) { recorder.Stop(); });
+  ThroughputSampler sampler(sim, volume);
+  sampler.Tick();
+  volume.WriteBlocks(12000,
+                     [&](const fst::BatchResult&) { sampler.running = false; });
   sim.Run();
 
   Timeline out;
-  out.samples = recorder.samples();
-  out.sparkline = recorder.Sparkline();
-  out.mean = recorder.MeanValue();
+  out.samples = std::move(sampler.samples);
+  out.sparkline = Sparkline(out.samples);
+  for (const auto& [t, v] : out.samples) {
+    out.mean += v;
+  }
+  if (!out.samples.empty()) {
+    out.mean /= static_cast<double>(out.samples.size());
+  }
   return out;
 }
 

@@ -5,30 +5,26 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 namespace fst {
 
+namespace {
+
+// ChaosKind names in enum order: ToDsl writes them, ParseDsl reads them.
+constexpr const char* kKindNames[] = {"slow", "gc",         "crash",
+                                      "flap", "gray",       "correlated",
+                                      "retrystorm"};
+static_assert(std::size(kKindNames) ==
+              static_cast<size_t>(ChaosKind::kRetryStorm) + 1);
+
+}  // namespace
+
 const char* ChaosKindName(ChaosKind k) {
-  switch (k) {
-    case ChaosKind::kSlow:
-      return "slow";
-    case ChaosKind::kGc:
-      return "gc";
-    case ChaosKind::kCrash:
-      return "crash";
-    case ChaosKind::kFlap:
-      return "flap";
-    case ChaosKind::kGray:
-      return "gray";
-    case ChaosKind::kCorrelated:
-      return "correlated";
-    case ChaosKind::kRetryStorm:
-      return "retrystorm";
-  }
-  return "?";
+  return kKindNames[static_cast<int>(k)];
 }
 
 namespace {
@@ -170,24 +166,13 @@ ChaosEvent ParseStatement(const std::string& stmt) {
   const std::vector<std::string> toks = Tokenize(stmt);
   ChaosEvent e;
   const std::string& kind = toks.front();
-  if (kind == "slow") {
-    e.kind = ChaosKind::kSlow;
-  } else if (kind == "gc") {
-    e.kind = ChaosKind::kGc;
-  } else if (kind == "crash") {
-    e.kind = ChaosKind::kCrash;
-  } else if (kind == "flap") {
-    e.kind = ChaosKind::kFlap;
-  } else if (kind == "gray") {
-    e.kind = ChaosKind::kGray;
-  } else if (kind == "correlated") {
-    e.kind = ChaosKind::kCorrelated;
-  } else if (kind == "retrystorm") {
-    e.kind = ChaosKind::kRetryStorm;
-  } else {
+  const auto* name =
+      std::find(std::begin(kKindNames), std::end(kKindNames), kind);
+  if (name == std::end(kKindNames)) {
     throw std::invalid_argument("chaos dsl: unknown kind '" + kind + "' in '" +
                                 stmt + "'");
   }
+  e.kind = static_cast<ChaosKind>(name - std::begin(kKindNames));
   for (size_t i = 1; i < toks.size(); ++i) {
     const std::string& tok = toks[i];
     if (tok.size() > 1 && tok[0] == 'x' &&
@@ -618,16 +603,11 @@ void ApplySchedule(Simulator& sim, KvService& service,
   }
 }
 
-void ApplySchedule(Simulator& sim, KvService& service,
-                   const ChaosSchedule& schedule, FaultInjector& injector) {
-  ApplySchedule(sim, service, schedule, injector, LeaderResolver());
-}
-
-std::vector<SurgeWindow> SurgeWindows(const ChaosSchedule& schedule) {
-  std::vector<SurgeWindow> out;
+std::vector<ArrivalSurge> SurgeWindows(const ChaosSchedule& schedule) {
+  std::vector<ArrivalSurge> out;
   for (const ChaosEvent& e : schedule.events) {
     if (e.kind == ChaosKind::kRetryStorm) {
-      out.push_back(SurgeWindow{e.at, e.duration, e.surge});
+      out.push_back(ArrivalSurge{e.at, e.duration, e.surge});
     }
   }
   return out;

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/cluster/fleet/arrivals.h"
 #include "src/faults/injector.h"
 #include "src/simcore/simulator.h"
 #include "src/simcore/time.h"
@@ -171,21 +172,14 @@ using LeaderResolver = std::function<FaultableDevice*()>;
 // relative to that instant against whichever device leads.
 void ApplySchedule(Simulator& sim, KvService& service,
                    const ChaosSchedule& schedule, FaultInjector& injector,
-                   const LeaderResolver& leader_of);
-void ApplySchedule(Simulator& sim, KvService& service,
-                   const ChaosSchedule& schedule, FaultInjector& injector);
+                   const LeaderResolver& leader_of = {});
 
 // The arrival half of every kRetryStorm entry in the schedule, in schedule
 // order: the open-loop client fleet multiplies its arrival rate by
 // `factor` over [at, at + duration). ApplySchedule injects only the
 // service-side slowdown; the workload passes these windows to its
 // fleet (FleetParams::surges) before the run starts.
-struct SurgeWindow {
-  Duration at;
-  Duration duration;
-  double factor = 1.0;
-};
-std::vector<SurgeWindow> SurgeWindows(const ChaosSchedule& schedule);
+std::vector<ArrivalSurge> SurgeWindows(const ChaosSchedule& schedule);
 
 }  // namespace fst
 

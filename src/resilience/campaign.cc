@@ -2,240 +2,92 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <utility>
 
-#include "src/chaos/campaign.h"
-#include "src/cluster/fleet/fleet.h"
-#include "src/core/policy.h"
 #include "src/devices/disk.h"
 #include "src/devices/network.h"
 #include "src/devices/node.h"
-#include "src/faults/fault.h"
-#include "src/harness/sweep.h"
-#include "src/obs/correlator.h"
-#include "src/obs/export.h"
-#include "src/obs/recorder.h"
 
 namespace fst {
 
+namespace {
+
+constexpr const char* kScenarioNames[] = {"clean", "gray", "correlated",
+                                          "retrystorm"};
+constexpr const char* kPatternNames[] = {"none", "budget", "rejuvenation",
+                                         "eviction", "nmr"};
+static_assert(std::size(kScenarioNames) == kResilienceScenarios);
+static_assert(std::size(kPatternNames) == kResiliencePatterns);
+
+}  // namespace
+
 const char* ResilienceScenarioName(ResilienceScenario s) {
-  switch (s) {
-    case ResilienceScenario::kClean:
-      return "clean";
-    case ResilienceScenario::kGray:
-      return "gray";
-    case ResilienceScenario::kCorrelated:
-      return "correlated";
-    case ResilienceScenario::kRetryStorm:
-      return "retrystorm";
-  }
-  return "?";
+  return kScenarioNames[static_cast<int>(s)];
 }
 
 const char* ResiliencePatternName(ResiliencePattern p) {
-  switch (p) {
-    case ResiliencePattern::kNone:
-      return "none";
-    case ResiliencePattern::kBudget:
-      return "budget";
-    case ResiliencePattern::kRejuvenation:
-      return "rejuvenation";
-    case ResiliencePattern::kEviction:
-      return "eviction";
-    case ResiliencePattern::kNmr:
-      return "nmr";
+  return kPatternNames[static_cast<int>(p)];
+}
+
+CellSpec ResilienceCellSpec(const ResilienceCampaignParams& p,
+                            ResilienceScenario scenario,
+                            ResiliencePattern pattern, uint64_t seed) {
+  CellSpec spec;
+  spec.seed = seed;
+  spec.cluster.nodes = p.nodes;
+  spec.cluster.shard.replication = p.replication;
+  spec.cluster.write_quorum = p.write_quorum;
+  spec.cluster.admission.max_outstanding_per_node = p.max_outstanding_per_node;
+  spec.cluster.retry.enabled = true;
+  spec.cluster.retry.max_attempts = p.retry_max_attempts;
+  // No per-op deadline: the deadline guard would cap exactly the retry
+  // amplification the storm cells exist to measure. The token bucket is
+  // the pattern under ablation, and the only brake left standing.
+  spec.cluster.retry.deadline = Duration::Zero();
+  spec.cluster.retry.budget = pattern != ResiliencePattern::kNone;
+  spec.cluster.recovery.enabled = true;
+  spec.cluster.live = p.live;
+  spec.cluster.live.enabled = true;
+  if (pattern == ResiliencePattern::kNmr) {
+    spec.cluster.nmr = p.nmr;
+    spec.cluster.nmr.enabled = true;
   }
-  return "?";
+  spec.fleet.arrivals_per_sec = p.arrivals_per_sec;
+  spec.fleet.run_for = p.run_for;
+  spec.fleet.read_fraction = p.read_fraction;
+  spec.fleet.key_space = p.key_space;
+  if (p.control_plane) {
+    spec.consensus = p.consensus;
+  }
+
+  RandomScenarioParams sp = p.scenario;
+  sp.nodes = p.nodes;
+  sp.horizon = p.run_for;
+  sp.stutter_faults = sp.crash_faults = sp.gray_faults = sp.leader_faults = 0;
+  sp.gray_events = scenario == ResilienceScenario::kGray ? 2 : 0;
+  sp.correlated_faults = scenario == ResilienceScenario::kCorrelated ? 2 : 0;
+  // Crash-mode domains with R = 2 can legitimately lose acked writes; the
+  // durability invariant stays meaningful only with slow-mode fate.
+  sp.correlated_crash_prob = 0.0;
+  sp.retry_storms = scenario == ResilienceScenario::kRetryStorm ? 1 : 0;
+  spec.schedule = RandomScenario(seed, sp);
+  spec.settle = p.settle;
+  spec.scorecard = p.scorecard;
+  spec.rejuvenation = p.rejuvenation;
+  spec.rejuvenation.enabled = pattern == ResiliencePattern::kRejuvenation;
+  spec.eviction = p.eviction;
+  spec.eviction.enabled = pattern == ResiliencePattern::kEviction;
+  return spec;
 }
 
 ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& p,
                                         ResilienceScenario scenario,
                                         ResiliencePattern pattern,
                                         uint64_t seed) {
-  Simulator sim(seed);
-
-  // The schedule draws only from its own seed, never the simulator RNG, so
-  // it can be generated up front — the fleet needs its surge windows before
-  // it forks the first arrival stream.
-  RandomScenarioParams sp = p.scenario;
-  sp.nodes = p.nodes;
-  sp.horizon = p.run_for;
-  sp.stutter_faults = 0;
-  sp.crash_faults = 0;
-  sp.gray_faults = 0;
-  sp.leader_faults = 0;
-  sp.correlated_faults = 0;
-  sp.gray_events = 0;
-  sp.retry_storms = 0;
-  switch (scenario) {
-    case ResilienceScenario::kClean:
-      break;
-    case ResilienceScenario::kGray:
-      sp.gray_events = 2;
-      break;
-    case ResilienceScenario::kCorrelated:
-      sp.correlated_faults = 2;
-      // Crash-mode domains with R = 2 can legitimately lose acked writes;
-      // the durability invariant stays meaningful only with slow-mode fate.
-      sp.correlated_crash_prob = 0.0;
-      break;
-    case ResilienceScenario::kRetryStorm:
-      sp.retry_storms = 1;
-      break;
-  }
-  const ChaosSchedule schedule = RandomScenario(seed, sp);
-  const std::vector<SurgeWindow> surges = SurgeWindows(schedule);
-
-  FleetParams fleet_params;
-  fleet_params.arrivals_per_sec = p.arrivals_per_sec;
-  fleet_params.run_for = p.run_for;
-  fleet_params.read_fraction = p.read_fraction;
-  fleet_params.key_space = p.key_space;
-  for (const SurgeWindow& w : surges) {
-    fleet_params.surges.push_back({w.at, w.duration, w.factor});
-  }
-  ColumnarFleet fleet(sim, fleet_params);
-
-  ClusterParams cluster;
-  cluster.nodes = p.nodes;
-  cluster.shard.replication = p.replication;
-  cluster.write_quorum = p.write_quorum;
-  cluster.admission.max_outstanding_per_node = p.max_outstanding_per_node;
-  cluster.retry.enabled = true;
-  cluster.retry.max_attempts = p.retry_max_attempts;
-  // No per-op deadline: the deadline guard would cap exactly the retry
-  // amplification the storm cells exist to measure. The token bucket is
-  // the pattern under ablation, and the only brake left standing.
-  cluster.retry.deadline = Duration::Zero();
-  cluster.retry.budget = pattern != ResiliencePattern::kNone;
-  cluster.recovery.enabled = true;
-  cluster.live = p.live;
-  cluster.live.enabled = true;
-  if (pattern == ResiliencePattern::kNmr) {
-    cluster.nmr = p.nmr;
-    cluster.nmr.enabled = true;
-  }
-  // Control-only: the correlator below reads faults, transitions and
-  // policy actions, never request spans.
-  EventRecorder recorder;
-  recorder.set_request_spans(false);
-  KvService svc(sim, cluster, std::make_unique<ProportionalSharePolicy>(),
-                &recorder);
-
-  std::unique_ptr<ConsensusGroup> group;
-  if (p.control_plane) {
-    ConsensusParams cp = p.consensus;
-    cp.data_nodes = p.nodes;
-    cp.shard = cluster.shard;
-    group = std::make_unique<ConsensusGroup>(sim, cp, &recorder);
-    BindControlPlane(*group, svc);
-  }
-
-  FaultInjector injector(sim);
-  injector.set_recorder(&recorder);
-  ApplySchedule(sim, svc, schedule, injector);
-
-  RejuvenationParams rj = p.rejuvenation;
-  rj.enabled = pattern == ResiliencePattern::kRejuvenation;
-  EvictionParams ev = p.eviction;
-  ev.enabled = pattern == ResiliencePattern::kEviction;
-  ResilienceEngine engine(sim, svc, injector, rj, ev);
-
-  ResilienceCellOutcome out;
-  out.scenario = static_cast<int>(scenario);
-  out.pattern = static_cast<int>(pattern);
-  out.seed = seed;
-  out.dsl = schedule.ToDsl();
-
-  // Retry-storm verdict sampling: goodput rate in a window just before the
-  // trigger vs one starting a grace period after it clears. Metastable
-  // collapse is exactly "the trigger is gone but the rate never comes
-  // back" — post under half of pre.
-  int64_t pre_a = 0, pre_b = 0, post_a = 0, post_b = 0;
-  double pre_len_s = 0.0, post_len_s = 0.0;
-  if (!surges.empty()) {
-    out.storm = true;
-    const SurgeWindow& w = surges.front();
-    const double at_s = w.at.ToSeconds();
-    const double clear_s = at_s + w.duration.ToSeconds();
-    const double run_s = p.run_for.ToSeconds();
-    // The post window is the final 3s of the run — at least 7.5s after
-    // the latest possible trigger clears (storms sit in the first third
-    // of the run by construction). A budget-braked backlog drains in
-    // 2-8s at these rates depending on how hard the surge hit, so
-    // measuring at the very end separates a slow honest recovery from
-    // the metastable state, which by definition never comes back no
-    // matter how long the trigger has been gone.
-    const double pre_start = std::max(0.0, at_s - 3.0);
-    const double post_start = std::max(clear_s, run_s - 3.0);
-    const double post_end = run_s;
-    pre_len_s = at_s - pre_start;
-    post_len_s = post_end - post_start;
-    sim.ScheduleAt(SimTime::Zero() + Duration::Seconds(pre_start),
-                   [&] { pre_a = svc.slo().goodput(); });
-    sim.ScheduleAt(SimTime::Zero() + Duration::Seconds(at_s),
-                   [&] { pre_b = svc.slo().goodput(); });
-    sim.ScheduleAt(SimTime::Zero() + Duration::Seconds(post_start),
-                   [&] { post_a = svc.slo().goodput(); });
-    sim.ScheduleAt(SimTime::Zero() + Duration::Seconds(post_end),
-                   [&] { post_b = svc.slo().goodput(); });
-  }
-
-  const SimTime end_of_run = SimTime::Zero() + p.run_for + p.settle;
-  svc.StartRecovery(end_of_run);
-  svc.StartTelemetry(end_of_run);
-  engine.Start(SimTime::Zero() + p.run_for);
-  if (group) {
-    group->Start(end_of_run);
-  }
-  fleet.Run(svc, [](const FleetResult&) {});
-  sim.Run();
-
-  out.fire_digest = sim.fire_digest();
-  out.outcome_digest = svc.outcome_digest();
-  out.goodput_per_sec = svc.slo().GoodputPerSec(p.run_for);
-  out.retries = svc.slo().retries();
-  const SloSnapshot snap = svc.SloWithRetry();
-  out.denied_budget = snap.retry_denied_budget;
-  out.retry_tokens = snap.retry_tokens;
-  out.crashes = svc.crashes();
-  out.recoveries = svc.recoveries();
-  out.lost_acked = svc.lost_acked_writes();
-  out.under_replicated = svc.under_replicated_keys();
-  out.rejuvenations = engine.stats().rejuvenations;
-  out.evictions = engine.stats().evictions;
-  out.restores = engine.stats().restores + engine.stats().quiesce_restores;
-  out.nmr_reads = svc.nmr_reads();
-  out.nmr_acks = svc.nmr_acks();
-
-  if (out.storm) {
-    out.pre_storm_rate =
-        pre_len_s > 0.0 ? static_cast<double>(pre_b - pre_a) / pre_len_s : 0.0;
-    out.post_storm_rate =
-        post_len_s > 0.0 ? static_cast<double>(post_b - post_a) / post_len_s
-                         : 0.0;
-    out.collapsed = out.post_storm_rate < 0.5 * out.pre_storm_rate;
-  }
-
-  const LivePlane& live = *svc.live();
-  const CorrelationReport rep =
-      CorrelateFaultTimeline(recorder.Events(), recorder.components());
-  const std::vector<GraySpan> spans = live.expectation().GraySpans();
-  out.scorecard = BuildScorecard(rep, spans, end_of_run, p.scorecard);
-  for (const GraySpan& s : spans) {
-    out.gray_exposure_s += (s.end - s.start).ToSeconds();
-  }
-
-  // The chaos campaign's invariants. Every crash in these cells —
-  // including the rejuvenation pattern's proactive restarts, which ride
-  // the same injector lifecycle — keeps its node down past the liveness
-  // timeout, so an undetected crash is a detector bug.
-  CheckRunInvariants(svc, out.lost_acked, out.under_replicated, &rep,
-                     &out.scorecard, group.get(), Duration::Seconds(3.0),
-                     out.violations);
-  out.ok = out.violations.empty();
-  return out;
+  return {RunCell(ResilienceCellSpec(p, scenario, pattern, seed)),
+          static_cast<int>(scenario), static_cast<int>(pattern)};
 }
 
 namespace {
@@ -370,53 +222,26 @@ size_t ResilienceCampaignResult::CellIndex(int scenario, int pattern,
 
 ResilienceCampaignResult RunResilienceCampaign(
     const ResilienceCampaignParams& p) {
-  SweepSpec spec;
-  spec.name = p.name;
-  SweepAxis scen_axis;
-  scen_axis.name = "scenario";
-  SweepAxis pat_axis;
-  pat_axis.name = "pattern";
-  for (int s = 0; s < kResilienceScenarios; ++s) {
-    scen_axis.values.push_back(static_cast<double>(s));
-    scen_axis.labels.push_back(
-        ResilienceScenarioName(static_cast<ResilienceScenario>(s)));
-  }
-  for (int q = 0; q < kResiliencePatterns; ++q) {
-    pat_axis.values.push_back(static_cast<double>(q));
-    pat_axis.labels.push_back(
-        ResiliencePatternName(static_cast<ResiliencePattern>(q)));
-  }
-  spec.axes.push_back(std::move(scen_axis));
-  spec.axes.push_back(std::move(pat_axis));
-  spec.seeds.clear();
-  for (int i = 0; i < p.seeds; ++i) {
-    spec.seeds.push_back(p.first_seed + static_cast<uint64_t>(i));
-  }
-
   ResilienceCampaignResult res;
   res.params = p;
-  res.outcomes.resize(static_cast<size_t>(kResilienceScenarios) *
-                      kResiliencePatterns * static_cast<size_t>(p.seeds));
-
-  SweepRunner runner(p.threads);
-  runner.Run(spec, [&p, &res](const CellPoint& pt) {
-    const auto scenario =
-        static_cast<ResilienceScenario>(static_cast<int>(pt.Value("scenario")));
-    const auto pattern =
-        static_cast<ResiliencePattern>(static_cast<int>(pt.Value("pattern")));
-    ResilienceCellOutcome o = RunResilienceCell(p, scenario, pattern, pt.seed);
-    CellResult cell;
-    cell.point = pt;
-    cell.value = o.goodput_per_sec;
-    cell.fire_digest = o.fire_digest;
-    // Distinct preallocated slots addressed by grid index — the sweep
-    // runner's own determinism discipline.
-    res.outcomes[pt.index] = std::move(o);
-    return cell;
-  });
-
-  for (const ResilienceCellOutcome& o : res.outcomes) {
-    if (!o.ok) {
+  std::vector<CellSpec> specs;
+  for (int s = 0; s < kResilienceScenarios; ++s) {
+    for (int q = 0; q < kResiliencePatterns; ++q) {
+      for (int i = 0; i < p.seeds; ++i) {
+        specs.push_back(ResilienceCellSpec(
+            p, static_cast<ResilienceScenario>(s),
+            static_cast<ResiliencePattern>(q),
+            p.first_seed + static_cast<uint64_t>(i)));
+        res.outcomes.emplace_back();
+        res.outcomes.back().scenario = s;
+        res.outcomes.back().pattern = q;
+      }
+    }
+  }
+  std::vector<CellOutcome> cells = RunCells(specs, p.threads);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    static_cast<CellOutcome&>(res.outcomes[i]) = std::move(cells[i]);
+    if (!res.outcomes[i].ok) {
       ++res.violations;
     }
   }

@@ -1,11 +1,11 @@
 // The resilience-pattern ablation campaign.
 //
-// One grid: scenario class × pattern × seeds, every cell a fresh Simulator
-// + KvService (retries, recovery, live telemetry, event recorder) serving
-// an open-loop fleet through a seeded chaos schedule of that cell's
-// scenario class. The pattern axis is the ablation: each resilience
-// pattern runs with everything else held fixed, against the scenario
-// classes the chaos DSL gained for exactly this purpose:
+// One grid: scenario class × pattern × seeds, every cell one RunCell
+// (src/chaos/cell.h) with retries, recovery and the live plane on, served
+// through a seeded chaos schedule of its scenario class. The pattern axis
+// is the ablation: each resilience pattern runs with everything else held
+// fixed, against the scenario classes the chaos DSL gained for exactly
+// this purpose:
 //
 //   scenarios: clean | gray (sub-threshold stutter) | correlated
 //              (shared-fate slowdown domains) | retrystorm (arrival surge
@@ -14,14 +14,9 @@
 //              budget (token-bucket retry budget only — the control)
 //              rejuvenation | eviction | nmr (each on top of budget)
 //
-// Each cell reports goodput, gray-span exposure, MTTR (detector
-// scorecard), retry-budget behavior, pattern action counts, and the
-// retry-storm collapse verdict (post-trigger goodput rate vs pre-trigger:
-// metastable collapse = the rate stays under half after the trigger
-// cleared). End-of-run robustness invariants (durability, repair,
-// convergence) are checked per cell; `none` cells in the retrystorm class
-// are *expected* to collapse — that is the demonstration — while `budget`
-// cells must not.
+// Every cell checks the run invariants and reports the retry-storm
+// collapse verdict; `none` cells in the retrystorm class are *expected*
+// to collapse — that is the demonstration — while `budget` cells must not.
 //
 // A second, serial sub-grid proves the checkpoint/rollback pattern:
 // sort and transpose runs crashed at every checkpoint boundary, restored,
@@ -29,9 +24,9 @@
 // (and checkpointed runs the uncheckpointed digest), with overhead and
 // recovery gain reported.
 //
-// Determinism: outcomes land in grid-index-addressed slots (the sweep
-// harness discipline), every number is printed with a fixed format, so
-// ScorecardJson() is byte-identical at any sweep thread count.
+// Determinism: outcomes come back in grid order (RunCells) and every
+// number is printed with a fixed format, so ScorecardJson() is
+// byte-identical at any sweep thread count.
 #ifndef SRC_RESILIENCE_CAMPAIGN_H_
 #define SRC_RESILIENCE_CAMPAIGN_H_
 
@@ -39,12 +34,13 @@
 #include <string>
 #include <vector>
 
+#include "src/chaos/cell.h"
+#include "src/chaos/policy.h"
 #include "src/chaos/scenario.h"
 #include "src/consensus/raft.h"
 #include "src/obs/live/live_plane.h"
 #include "src/obs/live/scorecard.h"
 #include "src/resilience/checkpoint.h"
-#include "src/resilience/policy.h"
 #include "src/simcore/time.h"
 
 namespace fst {
@@ -108,36 +104,10 @@ struct ResilienceCampaignParams {
   TransposeParams transpose = {.bytes_per_pair = 48 << 20};
 };
 
-struct ResilienceCellOutcome {
-  int scenario = 0;
-  int pattern = 0;
-  uint64_t seed = 0;
-  bool ok = true;
-  std::vector<std::string> violations;
-  std::string dsl;
-  uint64_t fire_digest = 0;
-  uint64_t outcome_digest = 0;  // KvService::outcome_digest()
-  double goodput_per_sec = 0.0;
-  int64_t retries = 0;
-  int64_t denied_budget = 0;
-  double retry_tokens = 0.0;
-  double gray_exposure_s = 0.0;  // summed live-plane gray-span seconds
-  DetectorScorecard scorecard;   // MTTR/MTTD vs injected ground truth
-  int crashes = 0;
-  int recoveries = 0;
-  int64_t lost_acked = 0;
-  int64_t under_replicated = 0;
-  // Pattern actions.
-  int rejuvenations = 0;
-  int evictions = 0;
-  int restores = 0;
-  int64_t nmr_reads = 0;
-  int64_t nmr_acks = 0;
-  // Retry-storm verdict (storm cells only).
-  bool storm = false;            // this cell's schedule contained a storm
-  double pre_storm_rate = 0.0;   // goodput/s before the trigger
-  double post_storm_rate = 0.0;  // goodput/s after the trigger cleared
-  bool collapsed = false;        // post < 0.5 * pre: metastable collapse
+// A serving cell's outcome: its cell's, plus its grid coordinates.
+struct ResilienceCellOutcome : CellOutcome {
+  int scenario = 0;  // ResilienceScenario
+  int pattern = 0;   // ResiliencePattern
 };
 
 struct CheckpointCellOutcome {
@@ -171,7 +141,16 @@ struct ResilienceCampaignResult {
   std::string ScorecardJson() const;
 };
 
-// Runs one serving cell (exposed for tests).
+// The cell of one (scenario, pattern, seed): the campaign's cluster (live
+// plane on, retry budget on unless the pattern is `none`, NMR reads for
+// `nmr`), fleet and settle, the seed's schedule of the scenario class, and
+// the pattern's engine knobs.
+CellSpec ResilienceCellSpec(const ResilienceCampaignParams& params,
+                            ResilienceScenario scenario,
+                            ResiliencePattern pattern, uint64_t seed);
+
+// Runs one serving cell: RunCell(ResilienceCellSpec(...)) (exposed for
+// tests).
 ResilienceCellOutcome RunResilienceCell(const ResilienceCampaignParams& params,
                                         ResilienceScenario scenario,
                                         ResiliencePattern pattern,

@@ -17,7 +17,6 @@
 #include "src/simcore/simulator.h"
 #include "src/simcore/stats.h"
 #include "src/simcore/time.h"
-#include "src/simcore/timeseries.h"
 
 namespace fst {
 namespace {
@@ -975,61 +974,6 @@ TEST(MetricsTest, SnapshotCarriesHistogramStats) {
   EXPECT_NEAR(h.mean, 50.5, 1e-9);
   EXPECT_GE(h.p95, h.p50);
   EXPECT_GE(h.p99, h.p95);
-}
-
-// ---------------------------------------------------------------- timeseries
-
-TEST(TimeSeriesTest, SamplesAtInterval) {
-  Simulator sim;
-  TimeSeriesRecorder rec(sim, Duration::Millis(100));
-  double value = 0.0;
-  rec.Start([&]() { return value; });
-  sim.Schedule(Duration::Millis(450), [&]() { value = 10.0; });
-  sim.Schedule(Duration::Millis(950), [&]() { rec.Stop(); });
-  sim.RunUntil(SimTime::Zero() + Duration::Seconds(2.0));
-  ASSERT_GE(rec.samples().size(), 8u);
-  ASSERT_LE(rec.samples().size(), 10u);
-  EXPECT_EQ(rec.samples()[0].first.nanos(), Duration::Millis(100).nanos());
-  EXPECT_DOUBLE_EQ(rec.samples()[0].second, 0.0);
-  EXPECT_DOUBLE_EQ(rec.samples().back().second, 10.0);
-  EXPECT_DOUBLE_EQ(rec.MaxValue(), 10.0);
-  EXPECT_GT(rec.MeanValue(), 0.0);
-}
-
-TEST(TimeSeriesTest, SparklineScalesToMax) {
-  Simulator sim;
-  TimeSeriesRecorder rec(sim, Duration::Millis(10));
-  int tick = 0;
-  rec.Start([&]() { return static_cast<double>(tick++ % 2); });
-  sim.Schedule(Duration::Millis(45), [&]() { rec.Stop(); });
-  sim.RunUntil(SimTime::Zero() + Duration::Seconds(1.0));
-  const std::string spark = rec.Sparkline();
-  ASSERT_EQ(spark.size(), rec.samples().size());
-  EXPECT_NE(spark.find('#'), std::string::npos);
-  EXPECT_NE(spark.find(' '), std::string::npos);
-}
-
-TEST(TimeSeriesTest, RenderTableHasOneLinePerSample) {
-  Simulator sim;
-  TimeSeriesRecorder rec(sim, Duration::Millis(10));
-  rec.Start([]() { return 1.0; }, SimTime::Zero() + Duration::Millis(55));
-  sim.Run();
-  const std::string table = rec.RenderTable();
-  size_t lines = 0;
-  for (char c : table) {
-    lines += c == '\n' ? 1 : 0;
-  }
-  EXPECT_EQ(lines, rec.samples().size());
-}
-
-TEST(TimeSeriesTest, UntilBoundsTheRecording) {
-  Simulator sim;
-  TimeSeriesRecorder rec(sim, Duration::Millis(100));
-  rec.Start([]() { return 5.0; }, SimTime::Zero() + Duration::Millis(350));
-  // Keep the queue alive well past the bound.
-  sim.Schedule(Duration::Seconds(5.0), []() {});
-  sim.Run();
-  EXPECT_EQ(rec.samples().size(), 3u);
 }
 
 // ValueAtQuantile edge semantics are pinned to match RepStats/Summarize:
