@@ -149,7 +149,7 @@ bool CampaignResult::WriteBundle(const std::string& dir) const {
 
 std::string CampaignResult::ReportJson() const {
   std::string out;
-  char buf[256];
+  char buf[384];
   std::snprintf(buf, sizeof(buf),
                 "{\"campaign\": \"%s\", \"nodes\": %d, \"seeds\": %d, "
                 "\"first_seed\": %llu, \"violating_seeds\": %d,\n"
@@ -163,12 +163,14 @@ std::string CampaignResult::ReportJson() const {
     std::snprintf(
         buf, sizeof(buf),
         "  {\"seed\": %llu, \"ok\": %s, \"digest\": \"%016llx\", "
+        "\"outcome_digest\": \"%016llx\", "
         "\"goodput_per_sec\": %.3f, \"crashes\": %d, \"recoveries\": %d, "
         "\"keys_repaired\": %lld, \"read_misses\": %lld, \"retries\": %lld, "
         "\"acked_keys\": %lld, \"lost_acked\": %lld, "
         "\"under_replicated\": %lld",
         static_cast<unsigned long long>(o.seed), o.ok ? "true" : "false",
-        static_cast<unsigned long long>(o.fire_digest), o.goodput_per_sec,
+        static_cast<unsigned long long>(o.fire_digest),
+        static_cast<unsigned long long>(o.outcome_digest), o.goodput_per_sec,
         o.crashes, o.recoveries, static_cast<long long>(o.keys_repaired),
         static_cast<long long>(o.read_misses),
         static_cast<long long>(o.retries),
