@@ -120,11 +120,8 @@ void ResilienceEngine::EvictionTick(SimTime until) {
     if (!evicted_[idx]) {
       if (score >= eviction_.evict_score) {
         if (++above_count_[idx] >= eviction_.evict_windows) {
-          ControlCommand cmd;
-          cmd.kind = ControlCommand::Kind::kSetWeight;
-          cmd.node = i;
-          cmd.weight = eviction_.evict_weight;
-          service_.SubmitControl(cmd);
+          service_.SubmitControl(
+              {ConfigChangeKind::kSetWeight, i, eviction_.evict_weight});
           evicted_[idx] = true;
           above_count_[idx] = 0;
           clear_count_[idx] = 0;
@@ -136,11 +133,7 @@ void ResilienceEngine::EvictionTick(SimTime until) {
     } else {
       if (score < eviction_.clear_score) {
         if (++clear_count_[idx] >= eviction_.clear_windows) {
-          ControlCommand cmd;
-          cmd.kind = ControlCommand::Kind::kSetWeight;
-          cmd.node = i;
-          cmd.weight = 1.0;
-          service_.SubmitControl(cmd);
+          service_.SubmitControl({ConfigChangeKind::kSetWeight, i, 1.0});
           evicted_[idx] = false;
           clear_count_[idx] = 0;
           ++stats_.restores;
@@ -165,11 +158,7 @@ void ResilienceEngine::Quiesce() {
     if (!evicted_[idx]) {
       continue;
     }
-    ControlCommand cmd;
-    cmd.kind = ControlCommand::Kind::kSetWeight;
-    cmd.node = i;
-    cmd.weight = 1.0;
-    service_.SubmitControl(cmd);
+    service_.SubmitControl({ConfigChangeKind::kSetWeight, i, 1.0});
     evicted_[idx] = false;
     ++stats_.quiesce_restores;
   }

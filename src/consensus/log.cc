@@ -28,20 +28,6 @@ uint64_t DoubleBits(double d) {
 
 }  // namespace
 
-const char* ConfigChangeKindName(ConfigChangeKind k) {
-  switch (k) {
-    case ConfigChangeKind::kNoop:
-      return "noop";
-    case ConfigChangeKind::kEject:
-      return "eject";
-    case ConfigChangeKind::kUneject:
-      return "uneject";
-    case ConfigChangeKind::kSetWeight:
-      return "set-weight";
-  }
-  return "?";
-}
-
 ControlState::ControlState(int data_nodes, ShardMapParams shard)
     : data_nodes_(data_nodes), shard_params_(shard),
       map_(data_nodes, shard),

@@ -2,7 +2,8 @@
 //
 // The control plane replicates exactly one thing: the stream of shard-map
 // mutations the fail-stutter runtime used to apply directly — ejects,
-// unejects, and selector weight changes. Each mutation is a ConfigChange;
+// unejects, and selector weight changes. Each mutation is a ConfigChange
+// (src/cluster/control.h, the type KvService submits and applies);
 // committed changes are applied in log order by every replica's
 // ControlState, a deterministic state machine wrapping a ShardMap plus the
 // per-node weight vector. Because ShardMap::Eject/Uneject are idempotent
@@ -23,28 +24,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/cluster/control.h"
 #include "src/cluster/shard_map.h"
 
 namespace fst {
-
-enum class ConfigChangeKind : uint8_t {
-  kNoop = 0,     // leader barrier entry (appended on election)
-  kEject = 1,    // weight -> 0 and ring ownership handed off
-  kUneject = 2,  // ring ownership restored (weight ramps separately)
-  kSetWeight = 3,
-};
-
-const char* ConfigChangeKindName(ConfigChangeKind k);
-
-struct ConfigChange {
-  ConfigChangeKind kind = ConfigChangeKind::kNoop;
-  int32_t node = 0;       // data-plane node the change targets
-  double weight = 0.0;    // kSetWeight only
-  // Client-assigned dedupe / latency-join id; 0 for leader no-ops. The
-  // state machine ignores it (duplicate submissions must be idempotent at
-  // the ShardMap level, not filtered here).
-  uint64_t proposal = 0;
-};
 
 struct LogEntry {
   uint64_t term = 0;

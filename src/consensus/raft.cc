@@ -800,42 +800,12 @@ std::vector<std::string> ConsensusGroup::CheckInvariants(
 
 void BindControlPlane(ConsensusGroup& group, KvService& service) {
   group.BindRegistry(&service.registry());
-  service.set_control_route([&group](const ControlCommand& cmd) {
-    ConfigChange change;
-    switch (cmd.kind) {
-      case ControlCommand::Kind::kEject:
-        change.kind = ConfigChangeKind::kEject;
-        break;
-      case ControlCommand::Kind::kUneject:
-        change.kind = ConfigChangeKind::kUneject;
-        break;
-      case ControlCommand::Kind::kSetWeight:
-        change.kind = ConfigChangeKind::kSetWeight;
-        break;
-    }
-    change.node = cmd.node;
-    change.weight = cmd.weight;
+  service.set_control_route([&group](const ConfigChange& change) {
     group.Propose(change);
     return true;
   });
   group.OnApply([&service](uint64_t, const ConfigChange& change) {
-    ControlCommand cmd;
-    switch (change.kind) {
-      case ConfigChangeKind::kNoop:
-        return;
-      case ConfigChangeKind::kEject:
-        cmd.kind = ControlCommand::Kind::kEject;
-        break;
-      case ConfigChangeKind::kUneject:
-        cmd.kind = ControlCommand::Kind::kUneject;
-        break;
-      case ConfigChangeKind::kSetWeight:
-        cmd.kind = ControlCommand::Kind::kSetWeight;
-        break;
-    }
-    cmd.node = change.node;
-    cmd.weight = change.weight;
-    service.ApplyControl(cmd);
+    service.ApplyControl(change);
   });
 }
 
