@@ -128,7 +128,9 @@ struct CellOutcome {
 //      replication restored, every node up, none stuck kFailed or ejected
 //      without cause, healthy nodes back at weight 1.0.
 // `keep_live_series` also fills live_json and slo_json. Throws
-// std::invalid_argument for invalid cluster, consensus or pattern params.
+// std::invalid_argument, before building anything, for a negative settle
+// or a schedule event that ends (EventEndNs) after run_for + settle, and
+// for invalid cluster, consensus or pattern params.
 CellOutcome RunCell(const CellSpec& spec, bool keep_live_series = false);
 
 // Runs every spec on `threads` workers (<= 0: FST_SWEEP_THREADS or the

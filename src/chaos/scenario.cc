@@ -488,6 +488,11 @@ ChaosSchedule RandomScenario(uint64_t seed, const RandomScenarioParams& p) {
 
 namespace {
 
+// A flap with no period cycles once a second past its down time.
+Duration FlapPeriod(const ChaosEvent& e) {
+  return e.period.IsZero() ? e.duration + Duration::Seconds(1.0) : e.period;
+}
+
 // Arms one event's fault processes against a concrete device, with the
 // event's episode starting at `at`. Fixed-node events pass their absolute
 // offset; leader events pass the resolution instant, so the episode's
@@ -521,8 +526,7 @@ void InjectEvent(FaultInjector& injector, FaultableDevice& dev,
       break;
     }
     case ChaosKind::kFlap: {
-      const Duration period =
-          e.period.IsZero() ? e.duration + Duration::Seconds(1.0) : e.period;
+      const Duration period = FlapPeriod(e);
       for (int k = 0; k < std::max(1, e.count); ++k) {
         CrashRestartFault f;
         f.at = at + period * static_cast<double>(k);
@@ -540,6 +544,19 @@ void InjectEvent(FaultInjector& injector, FaultableDevice& dev,
 }
 
 }  // namespace
+
+double EventEndNs(const ChaosEvent& e) {
+  const auto ns = [](Duration d) { return static_cast<double>(d.nanos()); };
+  switch (e.kind) {
+    case ChaosKind::kCrash:
+      return ns(e.at) + ns(e.duration) + ns(e.warmup);
+    case ChaosKind::kFlap:
+      return ns(e.at) + ns(FlapPeriod(e)) * (std::max(1, e.count) - 1) +
+             ns(e.duration);
+    default:  // episodes (`for`) and correlated domains (`for` or `down`)
+      return ns(e.at) + ns(e.duration);
+  }
+}
 
 void ApplySchedule(Simulator& sim, KvService& service,
                    const ChaosSchedule& schedule, FaultInjector& injector,

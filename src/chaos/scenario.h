@@ -156,6 +156,13 @@ struct RandomScenarioParams {
   double retry_storm_max_surge = 5.0;
 };
 
+// When the event's last fault effect ends, in nanoseconds from simulation
+// start: at + for for slow, gray, gc, retrystorm and correlated-slow
+// episodes; the restart (plus any warm-up) for crash and correlated-crash
+// events; the last cycle's restart, at + (n-1)*period + down, for a flap.
+// A double, so no DSL duration can overflow the sum.
+double EventEndNs(const ChaosEvent& e);
+
 // Seeded scenario generator: same seed, same schedule, bit-for-bit. Crash
 // entries never overlap and always restart well before the horizon.
 ChaosSchedule RandomScenario(uint64_t seed, const RandomScenarioParams& params);
