@@ -11,8 +11,9 @@
 //
 //   $ ./examples/chaos_campaign [seeds] [threads] [out_dir] [live]
 //
-// seeds:   campaign size (default 50).
-// threads: sweep worker threads (default FST_SWEEP_THREADS or hardware);
+// seeds:   campaign size, a whole number >= 1 (default 50).
+// threads: sweep worker threads, a whole number (default, or <= 0:
+//          FST_SWEEP_THREADS or hardware);
 //          the campaign JSON is byte-identical for any thread count — CI
 //          diffs a 1-thread run against a 4-thread run.
 // out_dir: where chaos_campaign.json lands (default "."; "" skips).
@@ -38,6 +39,9 @@
 //          its place, and prints the cell's fire and outcome digests, its
 //          violations and its schedule as one line of DSL.
 //
+// A malformed number, an unknown mode word or an extra argument prints
+// usage and exits 1.
+//
 // Exit status: 0 when every seed holds every invariant, 2 otherwise (the
 // offending seeds print their scenario DSL, fault timeline and replay
 // line, which is everything needed to replay the failure
@@ -47,10 +51,23 @@
 #include <stdexcept>
 #include <string>
 
+#include "examples/cli_args.h"
 #include "src/chaos/campaign.h"
 #include "src/obs/export.h"
 
 namespace {
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: chaos_campaign [seeds] [threads] [out_dir] "
+               "[live|control]\n"
+               "       chaos_campaign replay <seed> <dsl|-> [live|control]\n");
+  return 1;
+}
+
+bool IsMode(const std::string& mode) {
+  return mode.empty() || mode == "live" || mode == "control";
+}
 
 // The campaign params of a mode: "" (plain), "live" or "control".
 fst::CampaignParams ParamsFor(const std::string& mode) {
@@ -71,11 +88,9 @@ int Replay(int argc, char** argv) {
   char* end = nullptr;
   const uint64_t seed = argc > 2 ? std::strtoull(argv[2], &end, 10) : 0;
   const std::string mode = argc > 4 ? argv[4] : "";
-  if (argc < 4 || end == argv[2] || *end != '\0' ||
-      (mode != "" && mode != "live" && mode != "control")) {
-    std::fprintf(stderr,
-                 "usage: chaos_campaign replay <seed> <dsl|-> [live|control]\n");
-    return 1;
+  if (argc < 4 || argc > 5 || end == argv[2] || *end != '\0' ||
+      !IsMode(mode)) {
+    return Usage();
   }
   const std::string dsl = argv[3];
   fst::CellSpec spec = fst::ChaosCellSpec(ParamsFor(mode), seed);
@@ -100,12 +115,13 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::string(argv[1]) == "replay") {
     return Replay(argc, argv);
   }
-  fst::CampaignParams params = ParamsFor(argc > 4 ? argv[4] : "");
-  if (argc > 1) {
-    params.seeds = std::atoi(argv[1]);
-  }
-  if (argc > 2) {
-    params.threads = std::atoi(argv[2]);
+  const std::string mode = argc > 4 ? argv[4] : "";
+  fst::CampaignParams params = ParamsFor(mode);
+  if (argc > 5 || !IsMode(mode) ||
+      (argc > 1 &&
+       (!fst::ParseWholeInt(argv[1], &params.seeds) || params.seeds < 1)) ||
+      (argc > 2 && !fst::ParseWholeInt(argv[2], &params.threads))) {
+    return Usage();
   }
   const std::string out_dir = argc > 3 ? argv[3] : ".";
 

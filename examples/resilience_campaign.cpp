@@ -9,8 +9,9 @@
 //
 //   $ ./examples/resilience_campaign [seeds] [threads] [out_dir] [control]
 //
-// seeds:   seeds per grid cell (default 8).
-// threads: sweep worker threads (default FST_SWEEP_THREADS or hardware);
+// seeds:   seeds per grid cell, a whole number >= 1 (default 8).
+// threads: sweep worker threads, a whole number (default, or <= 0:
+//          FST_SWEEP_THREADS or hardware);
 //          resilience_scorecard.json is byte-identical at any count — CI
 //          diffs a 1-thread run against a 4-thread run.
 // out_dir: where resilience_scorecard.json lands (default "."; "" skips).
@@ -26,6 +27,9 @@
 //          outcome digests, its violations and its schedule as one line of
 //          DSL; exit 0 when the cell holds every invariant, 2 otherwise.
 //
+// A malformed number, an unknown mode word or an extra argument prints
+// usage and exits 1.
+//
 // Exit status: 0 when every invariant holds AND the metastable demo holds;
 // 2 otherwise. The demo is the paper's retry-storm argument made
 // executable: with the retry budget disabled (pattern `none`) every storm
@@ -37,10 +41,24 @@
 #include <stdexcept>
 #include <string>
 
+#include "examples/cli_args.h"
 #include "src/obs/export.h"
 #include "src/resilience/campaign.h"
 
 namespace {
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: resilience_campaign [seeds] [threads] [out_dir] "
+               "[control]\n"
+               "       resilience_campaign replay <scenario> <pattern> <seed> "
+               "<dsl|-> [control]\n");
+  return 1;
+}
+
+bool IsMode(const std::string& mode) {
+  return mode.empty() || mode == "control";
+}
 
 // The campaign params of a mode: "" (plain) or "control".
 fst::ResilienceCampaignParams ParamsFor(const std::string& mode) {
@@ -70,12 +88,9 @@ int Replay(int argc, char** argv) {
   char* end = nullptr;
   const uint64_t seed = argc > 4 ? std::strtoull(argv[4], &end, 10) : 0;
   const std::string mode = argc > 6 ? argv[6] : "";
-  if (argc < 6 || scenario < 0 || pattern < 0 || end == argv[4] ||
-      *end != '\0' || (mode != "" && mode != "control")) {
-    std::fprintf(stderr,
-                 "usage: resilience_campaign replay <scenario> <pattern> "
-                 "<seed> <dsl|-> [control]\n");
-    return 1;
+  if (argc < 6 || argc > 7 || scenario < 0 || pattern < 0 ||
+      end == argv[4] || *end != '\0' || !IsMode(mode)) {
+    return Usage();
   }
   const std::string dsl = argv[5];
   fst::CellSpec spec = fst::ResilienceCellSpec(
@@ -103,12 +118,13 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::string(argv[1]) == "replay") {
     return Replay(argc, argv);
   }
-  fst::ResilienceCampaignParams params = ParamsFor(argc > 4 ? argv[4] : "");
-  if (argc > 1) {
-    params.seeds = std::atoi(argv[1]);
-  }
-  if (argc > 2) {
-    params.threads = std::atoi(argv[2]);
+  const std::string mode = argc > 4 ? argv[4] : "";
+  fst::ResilienceCampaignParams params = ParamsFor(mode);
+  if (argc > 5 || !IsMode(mode) ||
+      (argc > 1 &&
+       (!fst::ParseWholeInt(argv[1], &params.seeds) || params.seeds < 1)) ||
+      (argc > 2 && !fst::ParseWholeInt(argv[2], &params.threads))) {
+    return Usage();
   }
   const std::string out_dir = argc > 3 ? argv[3] : ".";
 
