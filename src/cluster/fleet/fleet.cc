@@ -11,10 +11,6 @@ ColumnarFleetParams Validate(ColumnarFleetParams p) {
   if (p.window < 1) {
     throw std::invalid_argument("ColumnarFleetParams.window must be >= 1");
   }
-  if (!(p.drain_every > Duration::Zero())) {
-    throw std::invalid_argument(
-        "ColumnarFleetParams.drain_every must be > 0");
-  }
   return p;
 }
 
@@ -53,7 +49,12 @@ size_t ColumnarFleet::Refill() {
   DrainTick();
   gen_.FillWindow(batch_, params_.window, horizon_);
   if (batch_.size() == 0) {
-    TailTick();
+    // Arrivals are over: the run ends in the event of the completion that
+    // leaves the service idle (at once if it already is).
+    service_->WhenIdle([this] {
+      DrainTick();
+      Finish();
+    });
     return 0;
   }
   return batch_.size();
@@ -61,7 +62,6 @@ size_t ColumnarFleet::Refill() {
 
 void ColumnarFleet::IssueAt(size_t i) {
   ++result_.ops_issued;
-  ++pending_;
   const uint64_t key = batch_.key[i];
   const uint64_t tag = batch_.client[i];
   if (!tallies_.empty()) {
@@ -111,17 +111,7 @@ void ColumnarFleet::DrainTick() {
         ++t.failed;
       }
     }
-    --pending_;
   }
-}
-
-void ColumnarFleet::TailTick() {
-  DrainTick();
-  if (pending_ == 0 && service_->pending_completions() == 0) {
-    Finish();
-    return;
-  }
-  sim_.Schedule(params_.drain_every, [this] { TailTick(); });
 }
 
 void ColumnarFleet::Finish() {

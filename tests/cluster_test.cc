@@ -620,7 +620,7 @@ TEST(ClusterHedgeTest, HedgedReadsEngageAndReconcile) {
 // cannot silently reorder the serving path. The outcome digest pins every
 // op's key, issue and completion instant, outcome and attempt count: a
 // change may re-pin the fire digest only if it leaves this one alone.
-constexpr uint64_t kServeRunDigest = 0xe1375f7bc96026bfULL;
+constexpr uint64_t kServeRunDigest = 0xf50ce8c281c58398ULL;
 constexpr uint64_t kServeRunOutcomeDigest = 0x3004a68e6dce26faULL;
 
 TEST(ClusterDeterminismTest, ServingRunsAreBitIdenticalAndPinned) {
@@ -646,7 +646,7 @@ TEST(ClusterDeterminismTest, ServingRunsAreBitIdenticalAndPinned) {
 // rejoins, so reads route across ShardMap epoch moves, not only across
 // the weight changes kServeRunDigest pins. Routing that kept using a
 // replica set after the ring moved changes this digest but not that one.
-constexpr uint64_t kEjectRunDigest = 0x3d64e7d666332b2eULL;
+constexpr uint64_t kEjectRunDigest = 0x0914277ea07263b3ULL;
 constexpr uint64_t kEjectRunOutcomeDigest = 0x69354aa91aaae607ULL;
 
 TEST(ClusterDeterminismTest, EjectingRunIsBitIdenticalAndPinned) {
@@ -673,7 +673,7 @@ TEST(ClusterDeterminismTest, EjectingRunIsBitIdenticalAndPinned) {
 // The serving run above with hedged reads (R = 2, one hedge after 60 ms):
 // the GC pauses stall node 0 past the hedge delay, so hedge timers fire,
 // duplicates win, and late answers are reconciled as waste.
-constexpr uint64_t kHedgedRunDigest = 0x1d102fef6c5b5243ULL;
+constexpr uint64_t kHedgedRunDigest = 0x66f9f29c1cfd0fe3ULL;
 constexpr uint64_t kHedgedRunOutcomeDigest = 0x3193925d8374c9a9ULL;
 
 TEST(ClusterDeterminismTest, HedgedRunIsPinned) {
@@ -702,7 +702,7 @@ TEST(ClusterDeterminismTest, HedgedRunIsPinned) {
 // three replicas always rank), so every admission refusal is a hedged
 // launch that could not be admitted and every failed op exhausted its
 // candidates.
-constexpr uint64_t kHedgedFailoverDigest = 0x2c3ef2b412e2c081ULL;
+constexpr uint64_t kHedgedFailoverDigest = 0x6a26333a499b5be1ULL;
 constexpr uint64_t kHedgedFailoverOutcomeDigest = 0xe8ef650c461d2d70ULL;
 
 TEST(ClusterDeterminismTest, HedgedFailoverRunIsPinned) {

@@ -571,13 +571,13 @@ TEST(ResilienceCampaignTest, ControlPlaneCellDigestsArePinned) {
     uint64_t digest;
     uint64_t outcome_digest;
   } kPinned[] = {
-      {ResilienceScenario::kClean, 0x3ee4763e98d091aeULL,
+      {ResilienceScenario::kClean, 0xba522542b57390b3ULL,
        0xe4f9b8451878755bULL},
-      {ResilienceScenario::kGray, 0x829fbafaf0ffdce0ULL,
+      {ResilienceScenario::kGray, 0x2b27e6af9189cc91ULL,
        0xace752c6e791246aULL},
-      {ResilienceScenario::kCorrelated, 0x2399f386d25b6fadULL,
+      {ResilienceScenario::kCorrelated, 0xa64c5ce97b2477b9ULL,
        0x7c8e36b89dcac2b4ULL},
-      {ResilienceScenario::kRetryStorm, 0x44b002fc4c0eca54ULL,
+      {ResilienceScenario::kRetryStorm, 0x6ae0c5b367ccd888ULL,
        0xf677e8ba17fd193aULL},
   };
   for (const auto& pin : kPinned) {
@@ -597,7 +597,7 @@ TEST(ResilienceCampaignTest, NmrQuorumCellIsPinned) {
   p.nmr.quorum = 2;
   const ResilienceCellOutcome o = RunResilienceCell(
       p, ResilienceScenario::kGray, ResiliencePattern::kNmr, 1);
-  EXPECT_EQ(o.fire_digest, 0x222a997b806cc2d9ULL)
+  EXPECT_EQ(o.fire_digest, 0x282b6b7a912ed0a5ULL)
       << "0x" << std::hex << o.fire_digest;
   EXPECT_EQ(o.outcome_digest, 0xf431a1d6c17c577dULL)
       << "0x" << std::hex << o.outcome_digest;
