@@ -233,7 +233,8 @@ OpTable::Id KvService::BeginOp(uint64_t key, bool is_read, uint64_t tag) {
   return id;
 }
 
-void KvService::FinishOp(OpTable::Id id, bool ok) {
+void KvService::FinishOp(OpTable::Id id, int node) {
+  const bool ok = node >= 0;
   const uint32_t slot = OpTable::RawSlot(id);
   // A hedged read that succeeds launches nothing more.
   if (ops_.fanout[slot].launched < ops_.fanout[slot].limit) {
@@ -263,7 +264,8 @@ void KvService::FinishOp(OpTable::Id id, bool ok) {
   for (const uint64_t v :
        {ops_.key[slot], static_cast<uint64_t>(t0.nanos()),
         static_cast<uint64_t>(now.nanos()),
-        static_cast<uint64_t>(rec.outcome), static_cast<uint64_t>(attempts)}) {
+        static_cast<uint64_t>(rec.outcome), static_cast<uint64_t>(attempts),
+        static_cast<uint64_t>(int64_t{node})}) {
     outcome_digest_ = (outcome_digest_ ^ v) * 1099511628211ull;
   }
   ops_.Free(id);
@@ -304,7 +306,7 @@ void KvService::AttemptFailed(OpTable::Id id) {
   const RetryPolicy::Decision d =
       retry_.Consider(ops_.attempts[slot], sim_.Now() - ops_.t0[slot]);
   if (!d.retry) {
-    FinishOp(id, false);
+    FinishOp(id, -1);
     return;
   }
   // The op has no other outstanding continuation once an attempt fails, so
@@ -438,7 +440,7 @@ void KvService::Tally(const AttemptCtx& ctx, bool ok) {
     } else if (ctx.hedged != 0 && ctx.secondary != 0) {
       ++hedge_stats_.hedge_wins;
     }
-    FinishOp(ctx.op_id, true);
+    FinishOp(ctx.op_id, ctx.node);
   } else if (f.launched < f.limit) {
     // A hedged read fails over at once instead of waiting out the delay.
     sim_.Cancel(ops_.timer[slot]);
