@@ -4,8 +4,8 @@
 // churn constantly at steady state. std::deque pays a map-node allocation
 // every few entries of push/pop churn — the dominant allocator traffic in
 // a serving cell — while the ring doubles a handful of times early in a
-// run and then never allocates again. FIFO semantics only: push at the
-// back, pop at the front, no iteration, no middle removal.
+// run and then never allocates again. FIFO semantics: push at the back,
+// pop at the front, read by position from the front, no middle removal.
 //
 // pop_front() does not destroy the element: callers move the front out
 // first, and the husk is overwritten when the ring wraps. T must be
@@ -27,6 +27,8 @@ class FifoRing {
   T& front() { return buf_[head_ & mask_]; }
   const T& front() const { return buf_[head_ & mask_]; }
   T& back() { return buf_[(tail_ - 1) & mask_]; }
+  // The i-th element from the front (i < size()).
+  const T& operator[](size_t i) const { return buf_[(head_ + i) & mask_]; }
 
   void push_back(T&& v) {
     if (tail_ - head_ == buf_.size()) {

@@ -21,6 +21,7 @@ bool Simulator::FireNext(SimTime deadline) {
     return false;
   }
   now_ = due->when;
+  now_sched_ = due->sched;
   ++events_fired_;
   fire_digest_ = (fire_digest_ ^ static_cast<uint64_t>(due->when.nanos())) *
                  1099511628211ull;
@@ -46,6 +47,7 @@ uint64_t Simulator::RunUntil(SimTime deadline) {
   }
   if (now_ < deadline && !stop_requested_) {
     now_ = deadline;
+    now_sched_ = SimTime::Max();
   }
   return fired;
 }
