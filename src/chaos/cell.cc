@@ -58,7 +58,7 @@ void CheckRunInvariants(KvService& svc, const CorrelationReport* report,
     // must equal the feed replica's applied state bit-for-bit — the
     // service holds no ownership fact the quorum never committed.
     const ControlState& feed = group->replica(0).state();
-    if (svc.shard_map().OwnershipDigest() != feed.map().OwnershipDigest()) {
+    if (!svc.shard_map().SameOwnership(feed.map())) {
       violations.push_back(
           "serving shard map diverged from feed replica applied state");
     }
@@ -313,7 +313,8 @@ CellOutcome RunCell(const CellSpec& spec, bool keep_live_series) {
 std::vector<CellOutcome> RunCells(const std::vector<CellSpec>& specs,
                                   int threads, bool keep_live_series) {
   std::vector<CellOutcome> out(specs.size());
-  ThreadPool pool(threads > 0 ? threads : SweepRunner::ThreadsFromEnv());
+  ThreadPool pool(PoolWorkers(
+      threads > 0 ? threads : SweepRunner::ThreadsFromEnv(), specs.size()));
   // Position-addressed: cell i lands in out[i] whichever worker runs it.
   pool.ParallelFor(specs.size(), [&](size_t i) {
     out[i] = RunCell(specs[i], keep_live_series);

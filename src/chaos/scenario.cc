@@ -493,6 +493,11 @@ Duration FlapPeriod(const ChaosEvent& e) {
   return e.period.IsZero() ? e.duration + Duration::Seconds(1.0) : e.period;
 }
 
+// A gc with no `every` pauses once a second.
+Duration GcPeriod(const ChaosEvent& e) {
+  return e.period.IsZero() ? Duration::Seconds(1.0) : e.period;
+}
+
 // Arms one event's fault processes against a concrete device, with the
 // event's episode starting at `at`. Fixed-node events pass their absolute
 // offset; leader events pass the resolution instant, so the episode's
@@ -508,8 +513,7 @@ void InjectEvent(FaultInjector& injector, FaultableDevice& dev,
       break;
     case ChaosKind::kGc: {
       std::vector<std::pair<SimTime, Duration>> windows;
-      const Duration period =
-          e.period.IsZero() ? Duration::Seconds(1.0) : e.period;
+      const Duration period = GcPeriod(e);
       for (Duration off = Duration::Zero(); off < e.duration; off += period) {
         windows.emplace_back(at + off, e.pause);
       }
@@ -553,6 +557,17 @@ double EventEndNs(const ChaosEvent& e) {
     case ChaosKind::kFlap:
       return ns(e.at) + ns(FlapPeriod(e)) * (std::max(1, e.count) - 1) +
              ns(e.duration);
+    case ChaosKind::kGc: {
+      // A pause starts at every period step below `for`; the last one can
+      // outlast `for`.
+      const int64_t span = e.duration.nanos();
+      const int64_t period = GcPeriod(e).nanos();
+      const double last_pause_end =
+          span > 0 ? ns(e.at) + static_cast<double>((span - 1) / period * period) +
+                         ns(e.pause)
+                   : 0.0;
+      return std::max(ns(e.at) + ns(e.duration), last_pause_end);
+    }
     default:  // episodes (`for`) and correlated domains (`for` or `down`)
       return ns(e.at) + ns(e.duration);
   }

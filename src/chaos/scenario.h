@@ -157,10 +157,12 @@ struct RandomScenarioParams {
 };
 
 // When the event's last fault effect ends, in nanoseconds from simulation
-// start: at + for for slow, gray, gc, retrystorm and correlated-slow
-// episodes; the restart (plus any warm-up) for crash and correlated-crash
-// events; the last cycle's restart, at + (n-1)*period + down, for a flap.
-// A double, so no DSL duration can overflow the sum.
+// start: at + for for slow, gray, retrystorm and correlated-slow episodes;
+// for a gc, the later of at + for and the end of its last pause (one
+// starts at every `every` step below `for`); the restart (plus any
+// warm-up) for crash and correlated-crash events; the last cycle's
+// restart, at + (n-1)*period + down, for a flap. A double, so no DSL
+// duration can overflow the sum.
 double EventEndNs(const ChaosEvent& e);
 
 // Seeded scenario generator: same seed, same schedule, bit-for-bit. Crash

@@ -23,20 +23,6 @@ enum class ConfigChangeKind : uint8_t {
   kSetWeight = 3,
 };
 
-inline const char* ConfigChangeKindName(ConfigChangeKind k) {
-  switch (k) {
-    case ConfigChangeKind::kNoop:
-      return "noop";
-    case ConfigChangeKind::kEject:
-      return "eject";
-    case ConfigChangeKind::kUneject:
-      return "uneject";
-    case ConfigChangeKind::kSetWeight:
-      return "set-weight";
-  }
-  return "?";
-}
-
 struct ConfigChange {
   ConfigChangeKind kind = ConfigChangeKind::kNoop;
   int32_t node = 0;       // data-plane node the change targets

@@ -98,6 +98,17 @@ class ShardMap {
   // Two maps with equal digests place every probed key identically.
   uint64_t OwnershipDigest(int samples = 2048) const;
 
+  // Whether `other` places every key exactly as this map does. The ring is
+  // a pure function of (nodes, vnodes_per_node), so two maps built from
+  // the same nodes, vnodes and replication own every key identically iff
+  // they eject the same nodes.
+  bool SameOwnership(const ShardMap& other) const {
+    return nodes_ == other.nodes_ &&
+           params_.vnodes_per_node == other.params_.vnodes_per_node &&
+           params_.replication == other.params_.replication &&
+           ejected_ == other.ejected_;
+  }
+
  private:
   struct Point {
     uint64_t where;

@@ -93,7 +93,9 @@ void ControlState::Restore(const ControlSnapshot& snap) {
 
 uint64_t ControlState::Digest() const {
   uint64_t h = kFnvOffset;
-  h = FnvMix(h, map_.OwnershipDigest());
+  for (int i = 0; i < data_nodes_; ++i) {
+    h = FnvMix(h, map_.IsEjected(i) ? 1 : 0);
+  }
   for (double w : weights_) {
     h = FnvMix(h, DoubleBits(w));
   }

@@ -62,9 +62,11 @@ class ControlState {
     return weights_[static_cast<size_t>(node)];
   }
 
-  // FNV-1a over the ownership digest, the weight bits, and the score
-  // epoch: the byte-identity witness replicas are compared with. Two
-  // ControlStates that applied the same committed prefix always agree.
+  // FNV-1a over the ejected mask (every replica's map is built from the
+  // same nodes and params, so the mask fixes its ownership), the weight
+  // bits, the score epoch and the applied index: the byte-identity witness
+  // replicas are compared with. Two ControlStates that applied the same
+  // committed prefix always agree.
   uint64_t Digest() const;
 
  private:

@@ -109,7 +109,7 @@ std::vector<CellResult> SweepRunner::Run(const SweepSpec& spec,
                                          const CellFn& fn) const {
   const size_t n = spec.CellCount();
   std::vector<CellResult> results(n);
-  ThreadPool pool(threads_);
+  ThreadPool pool(PoolWorkers(threads_, n));
   // Position-addressed writes: cell i's result goes to results[i] no
   // matter which worker computes it or when it finishes.
   pool.ParallelFor(n, [&spec, &fn, &results](size_t i) {

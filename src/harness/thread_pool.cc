@@ -5,6 +5,13 @@
 
 namespace fst {
 
+int PoolWorkers(int threads, size_t tasks) {
+  if (static_cast<size_t>(std::max(threads, 1)) > tasks) {
+    return static_cast<int>(std::max<size_t>(tasks, 1));
+  }
+  return std::max(threads, 1);
+}
+
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());

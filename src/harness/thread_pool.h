@@ -22,6 +22,10 @@
 
 namespace fst {
 
+// Workers a pool needs to run `tasks` independent tasks with up to
+// `threads` threads: never more than there are tasks, and at least one.
+int PoolWorkers(int threads, size_t tasks);
+
 class ThreadPool {
  public:
   // Spawns `threads` workers (clamped to at least 1). `threads <= 0`

@@ -79,6 +79,17 @@ TEST(ThreadPoolTest, SinglethreadPoolStillCompletesParallelFor) {
   EXPECT_EQ(sum.load(), 4950);
 }
 
+// Sized by the helper alone: a pool is never started to test it.
+TEST(ThreadPoolTest, PoolWorkersNeverExceedTheTasks) {
+  EXPECT_EQ(PoolWorkers(100000, 50), 50);
+  EXPECT_EQ(PoolWorkers(4, 160), 4);
+  EXPECT_EQ(PoolWorkers(4, 4), 4);
+  EXPECT_EQ(PoolWorkers(8, 1), 1);
+  EXPECT_EQ(PoolWorkers(8, 0), 1);
+  EXPECT_EQ(PoolWorkers(0, 10), 1);
+  EXPECT_EQ(PoolWorkers(-3, 0), 1);
+}
+
 // --------------------------------------------------------------- SweepSpec
 
 SweepSpec TwoAxisSpec() {
