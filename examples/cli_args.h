@@ -6,6 +6,7 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 
 namespace fst {
@@ -25,6 +26,23 @@ inline bool ParseWholeInt(const char* s, int* out) {
     return false;
   }
   *out = static_cast<int>(v);
+  return true;
+}
+
+// Reads `s` as a whole finite decimal number (strtod syntax without
+// leading space). False, leaving *out alone, for anything else, an
+// overflow, an infinity or a NaN.
+inline bool ParseFiniteDouble(const char* s, double* out) {
+  if (*s == '\0' || std::isspace(static_cast<unsigned char>(*s))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s, &end);
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
   return true;
 }
 

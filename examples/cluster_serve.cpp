@@ -10,18 +10,19 @@
 // out_dir: where cluster_serve.json / cluster_serve.csv land (default ".";
 //          pass "" to skip writing). The JSON is byte-identical for any
 //          thread count — CI diffs a 1-thread run against a 4-thread run.
+// A malformed argument prints usage and exits 1.
 //
 // Under the persistent "slow" fault the three classic designs land on
 // closed-form goodput: ignore <= lambda - mu/s (the slow node's answers all
 // blow the deadline), eject ~= (N-1)*mu (its residual capacity is wasted),
 // proportional-share ~= lambda (every node contributes what it can).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "examples/cli_args.h"
 #include "src/analysis/experiment.h"
 #include "src/analysis/table.h"
 #include "src/cluster/cluster.h"
@@ -167,7 +168,12 @@ int main(int argc, char** argv) {
                  argv[1]);
     return 1;
   }
-  const int threads = argc > 2 ? std::atoi(argv[2]) : 0;
+  int threads = 0;
+  if (argc > 4 || (argc > 2 && !fst::ParseWholeInt(argv[2], &threads))) {
+    std::fprintf(stderr, "usage: cluster_serve [slow|gc|cpu|mem|crash] "
+                         "[threads] [out_dir]\n");
+    return 1;
+  }
   const std::string out_dir = argc > 3 ? argv[3] : ".";
 
   const fst::SweepSpec spec = ServeSpec(fault);

@@ -16,16 +16,20 @@
 //       thread counts (default 1 vs 4); the sweep report JSON must be
 //       byte-identical. Exit 2 otherwise.
 //
-// Exit status: 0 on success, 2 on a determinism violation.
+// Exit status: 0 on success, 1 on a malformed or rejected argument, 2 on
+// a determinism violation.
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "examples/cli_args.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/fleet/fleet.h"
 #include "src/core/policy.h"
@@ -113,20 +117,43 @@ CellOut RunCell(const CellSpec& spec) {
   return out;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: fleet_scale [cell [clients] [nodes] [lambda] "
+               "[seconds]]\n"
+               "       fleet_scale sweep [threads_a] [threads_b]\n");
+  return 1;
+}
+
 int RunCellMode(int argc, char** argv) {
   CellSpec spec;
-  spec.clients = argc > 2 ? static_cast<uint32_t>(std::atoll(argv[2]))
-                          : 1000000u;
-  spec.nodes = argc > 3 ? std::atoi(argv[3]) : 100;
-  spec.lambda = argc > 4 ? std::atof(argv[4]) : 50000.0;
-  spec.seconds = argc > 5 ? std::atof(argv[5]) : 60.0;
+  int clients = 1000000;
+  spec.nodes = 100;
+  spec.lambda = 50000.0;
+  spec.seconds = 60.0;
+  if (argc > 6 || (argc > 2 && !(fst::ParseWholeInt(argv[2], &clients) &&
+                                 clients >= 0)) ||
+      (argc > 3 && !fst::ParseWholeInt(argv[3], &spec.nodes)) ||
+      (argc > 4 && !fst::ParseFiniteDouble(argv[4], &spec.lambda)) ||
+      // The run length must fit a Duration's integer nanoseconds.
+      (argc > 5 && !(fst::ParseFiniteDouble(argv[5], &spec.seconds) &&
+                     std::abs(spec.seconds) < 9e9))) {
+    return Usage();
+  }
+  spec.clients = static_cast<uint32_t>(clients);
   // Scale per-op work so the default 100-node cell runs ~70% loaded
   // (100 nodes x 1k ops/s capacity vs 50k/s offered).
   spec.read_work = 1000.0;
 
   std::printf("fleet cell: %u clients, %d nodes, %.0f ops/s for %.0fs sim\n",
               spec.clients, spec.nodes, spec.lambda, spec.seconds);
-  const CellOut out = RunCell(spec);
+  CellOut out;
+  try {
+    out = RunCell(spec);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fleet_scale: %s\n", e.what());
+    return 1;
+  }
   std::printf("  issued=%lld ok=%lld failed=%lld goodput/s=%.1f\n",
               static_cast<long long>(out.fleet.ops_issued),
               static_cast<long long>(out.fleet.ops_ok),
@@ -146,8 +173,12 @@ int RunCellMode(int argc, char** argv) {
 }
 
 int RunSweepMode(int argc, char** argv) {
-  const int threads_a = argc > 2 ? std::atoi(argv[2]) : 1;
-  const int threads_b = argc > 3 ? std::atoi(argv[3]) : 4;
+  int threads_a = 1;
+  int threads_b = 4;
+  if (argc > 4 || (argc > 2 && !fst::ParseWholeInt(argv[2], &threads_a)) ||
+      (argc > 3 && !fst::ParseWholeInt(argv[3], &threads_b))) {
+    return Usage();
+  }
   fst::SweepSpec spec;
   spec.name = "fleet_scale";
   spec.axes = {{"policy", {0, 2}, {"ignore-stutter", "proportional-share"}}};
@@ -195,6 +226,5 @@ int main(int argc, char** argv) {
   if (mode == "sweep") {
     return RunSweepMode(argc, argv);
   }
-  std::fprintf(stderr, "usage: %s [cell|sweep] ...\n", argv[0]);
-  return 1;
+  return Usage();
 }

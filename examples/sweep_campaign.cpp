@@ -9,12 +9,13 @@
 // threads: worker threads (default FST_SWEEP_THREADS or hardware width).
 // out_dir: where campaign.json / campaign.csv land (default "."; pass ""
 //          to skip writing).
+// A malformed argument prints usage and exits 1.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "examples/cli_args.h"
 #include "src/analysis/experiment.h"
 #include "src/analysis/table.h"
 #include "src/devices/disk.h"
@@ -100,7 +101,11 @@ fst::CellResult CampaignCell(const fst::CellPoint& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int threads = argc > 1 ? std::atoi(argv[1]) : 0;
+  int threads = 0;
+  if (argc > 3 || (argc > 1 && !fst::ParseWholeInt(argv[1], &threads))) {
+    std::fprintf(stderr, "usage: sweep_campaign [threads] [out_dir]\n");
+    return 1;
+  }
   const std::string out_dir = argc > 2 ? argv[2] : ".";
 
   const fst::SweepSpec spec = CampaignSpec();

@@ -37,6 +37,21 @@ void ValidateClusterParams(const ClusterParams& params) {
     // Reads pick NMR by key % key_stride.
     throw std::invalid_argument("NmrParams.key_stride must be >= 1");
   }
+  // Work becomes compute time via the node's cpu_rate, and bytes become
+  // transfer time at the switch (which, like the node, checks its own
+  // knobs).
+  if (!(std::isfinite(params.read_work) && params.read_work > 0.0)) {
+    throw std::invalid_argument(
+        "ClusterParams.read_work must be finite and > 0");
+  }
+  if (!(std::isfinite(params.write_work) && params.write_work > 0.0)) {
+    throw std::invalid_argument(
+        "ClusterParams.write_work must be finite and > 0");
+  }
+  if (params.request_bytes < 0 || params.response_bytes < 0) {
+    throw std::invalid_argument(
+        "ClusterParams.request_bytes and response_bytes must be >= 0");
+  }
   if (params.admission.max_outstanding_per_node < 1) {
     // A cap of 0 sheds every op.
     throw std::invalid_argument(
@@ -97,7 +112,7 @@ KvService::KvService(Simulator& sim, ClusterParams params,
                                : 0),
       client_port_(params_.nodes) {
   params_.net.ports = std::max(params_.net.ports, params_.nodes + 1);
-  switch_ = std::make_unique<Switch>(sim_, params_.net, nullptr, recorder_);
+  switch_ = std::make_unique<Switch>(sim_, params_.net, recorder_);
   registry_.set_recorder(recorder_);
   if (recorder_ != nullptr) {
     trace_comp_ = recorder_->Intern("cluster");
@@ -271,12 +286,8 @@ void KvService::FinishOp(OpTable::Id id, int node) {
   ops_.Free(id);
   completions_.Append(rec);
   if (recorder_ != nullptr && trace_id != 0) {
-    // Coalesced delivery extends to tracing: the row is staged and rides
-    // the next drain's bulk append instead of paying a ring cursor
-    // round-trip per completion.
-    trace_scratch_.push_back(
-        TraceEvent{now, EventKind::kRequestComplete, trace_comp_, 0, -1,
-                   trace_id, 0.0, static_cast<double>((now - t0).nanos())});
+    recorder_->RequestComplete(now, trace_comp_, trace_id, -1, Duration::Zero(),
+                               now - t0);
   }
   // Last: the callback may issue new ops.
   if (idle_ && ops_.live() == 0) {
@@ -293,10 +304,6 @@ void KvService::WhenIdle(std::function<void()> idle) {
 }
 
 const std::vector<CompletionRecord>& KvService::DrainCompletions() {
-  if (!trace_scratch_.empty()) {
-    recorder_->RecordN(trace_scratch_.data(), trace_scratch_.size());
-    trace_scratch_.clear();
-  }
   completions_.SwapDrain(drained_);
   return drained_;
 }
@@ -395,9 +402,6 @@ void KvService::OnAttemptComplete(const AttemptCtx& ctx, bool ok) {
       }
       break;
     case kCtxWrite:
-      if (ctx.secondary != 0) {
-        --mirror_backlog_;
-      }
       if (data_plane() && ok) {
         StoreVersion(ctx);
       }
@@ -504,11 +508,6 @@ void KvService::StartAttempt(OpTable::Id id) {
       continue;
     }
     ++issued;
-    ctx.secondary = i > 0 ? 1 : 0;
-    if (!read && i > 0) {
-      ++mirror_backlog_;
-      peak_mirror_backlog_ = std::max(peak_mirror_backlog_, mirror_backlog_);
-    }
     Dispatch(read ? params_.read_work : params_.write_work, ctx);
   }
   if (issued == 0) {

@@ -134,12 +134,14 @@ class KvService {
   // Throws std::invalid_argument unless `params` describes a cluster the
   // service can run: nodes >= 1, shard.replication in [1, nodes],
   // write_quorum in [1, replication], admission.max_outstanding_per_node
-  // >= 1. With hedge_reads on, hedge.max_hedges >= 0 and hedge.hedge_delay
-  // >= 0; with NMR on, nmr.quorum in [1, nmr.issue] and nmr.key_stride
-  // >= 1; with the live plane on, a positive live.window. With recovery
-  // on, heartbeat_every and liveness_timeout must be positive and
-  // repair_keys_per_sec must be 0 (off) or a finite rate whose interval
-  // 1/rate is at least 1 ns and fits a Duration.
+  // >= 1, finite read_work and write_work > 0, request_bytes and
+  // response_bytes >= 0; its Switch and Nodes reject their own bad knobs
+  // (network.h, node.h). With hedge_reads on, hedge.max_hedges >= 0 and
+  // hedge.hedge_delay >= 0; with NMR on, nmr.quorum in [1, nmr.issue] and
+  // nmr.key_stride >= 1; with the live plane on, a positive live.window.
+  // With recovery on, heartbeat_every and liveness_timeout must be
+  // positive and repair_keys_per_sec must be 0 (off) or a finite rate
+  // whose interval 1/rate is at least 1 ns and fits a Duration.
   KvService(Simulator& sim, ClusterParams params,
             std::unique_ptr<ReactionPolicy> policy,
             EventRecorder* recorder = nullptr);
@@ -162,9 +164,9 @@ class KvService {
   }
 
   // Hands the caller every completion record appended since the previous
-  // drain, in FIFO (= completion) order, and flushes the staged trace rows.
-  // The returned reference is valid until the next drain; the two backing
-  // buffers ping-pong without reallocating.
+  // drain, in FIFO (= completion) order. The returned reference is valid
+  // until the next drain; the two backing buffers ping-pong without
+  // reallocating.
   const std::vector<CompletionRecord>& DrainCompletions();
   // Terminated ops whose record has not been drained yet.
   size_t pending_completions() const { return completions_.size(); }
@@ -238,7 +240,6 @@ class KvService {
   // service schedules, so a change that re-pins fire_digest must leave it
   // unchanged.
   uint64_t outcome_digest() const { return outcome_digest_; }
-  int64_t peak_mirror_backlog() const { return peak_mirror_backlog_; }
 
   // SloTracker::Snapshot plus the retry policy's token-bucket state —
   // the view campaign scorecards read.
@@ -262,7 +263,6 @@ class KvService {
   int recoveries() const { return recoveries_; }
   int64_t keys_repaired() const { return keys_repaired_; }
   int64_t read_misses() const { return read_misses_; }
-  bool repair_active() const { return repair_active_; }
   int64_t acked_keys() const {
     return static_cast<int64_t>(acked_.size());
   }
@@ -291,8 +291,7 @@ class KvService {
     int32_t attempt_no = 0;  // which of the op's attempts this belongs to
     int32_t node = 0;
     uint8_t kind = kCtxRead;
-    uint8_t secondary = 0;   // candidate position > 0: a write's mirror, a
-                             // hedged read's duplicate
+    uint8_t secondary = 0;   // a hedged read's launch after the first
     uint8_t hedged = 0;      // launched by a hedged read
   };
 
@@ -407,10 +406,6 @@ class KvService {
   std::vector<CompletionRecord> drained_;
   std::function<void()> idle_;  // WhenIdle's pending callback
   uint64_t outcome_digest_ = 14695981039346656037ull;  // FNV-1a offset basis
-  // Completion trace rows staged between drains and bulk-appended to the
-  // recorder ring in one RecordN call per tick (recorder-on runs only) —
-  // same events, one ring transaction instead of one per completion.
-  std::vector<TraceEvent> trace_scratch_;
 
   // Hot-path caches: per-node registry channels (skip the name hash on
   // every observation), one reusable DepthFn, and routing scratch buffers
@@ -428,8 +423,6 @@ class KvService {
   int64_t sheds_ = 0;
   int ejections_ = 0;
   int reweights_ = 0;
-  int64_t mirror_backlog_ = 0;
-  int64_t peak_mirror_backlog_ = 0;
 
   // Data plane: per-node stores (key -> version) plus the acked ledger
   // (ordered, so the repair-due set refills in key order).

@@ -80,7 +80,6 @@ class ColumnarFleet {
   void Run(KvService& service, std::function<void(const FleetResult&)> done);
 
   const FleetResult& result() const { return result_; }
-  const std::vector<ClientTally>& client_tallies() const { return tallies_; }
 
   // FNV-1a digest over every client's (issued, ok, failed): two runs of
   // the same seeded cell must match bit-for-bit even at a million clients.

@@ -5,18 +5,6 @@
 
 namespace fst {
 
-const char* RouteModeName(RouteMode m) {
-  switch (m) {
-    case RouteMode::kUniform:
-      return "uniform";
-    case RouteMode::kWeighted:
-      return "weighted";
-    case RouteMode::kQueueWeighted:
-      return "queue-weighted";
-  }
-  return "?";
-}
-
 ReplicaSelector::ReplicaSelector(RouteMode mode, int nodes, Rng rng)
     : mode_(mode), weights_(static_cast<size_t>(nodes), 1.0),
       rng_(std::move(rng)) {}

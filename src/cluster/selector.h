@@ -27,8 +27,6 @@ namespace fst {
 
 enum class RouteMode { kUniform, kWeighted, kQueueWeighted };
 
-const char* RouteModeName(RouteMode m);
-
 class ReplicaSelector {
  public:
   // Reports the live outstanding-request count for a node.

@@ -126,37 +126,6 @@ void ShardMap::Uneject(int node) {
   ++epoch_;
 }
 
-uint64_t ShardMap::OwnershipDigest(int samples) const {
-  uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  const auto fold = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  // Probe keys share segments, so each segment is walked at most once:
-  // row `seg` holds its set size (-1 until walked), then its members. On
-  // an empty ring every key maps to row 0, whose set is empty.
-  const int want = std::clamp(params_.replication, 0, live_nodes_);
-  const size_t width = static_cast<size_t>(want) + 1;
-  std::vector<int> rows(std::max<size_t>(ring_.size(), 1) * width, -1);
-  std::vector<int> replicas;
-  for (int i = 0; i < samples; ++i) {
-    const size_t seg = SegmentOf(static_cast<uint64_t>(i));
-    int* row = &rows[seg * width];
-    if (row[0] < 0) {
-      ReplicasForSegment(seg, replicas);
-      row[0] = static_cast<int>(replicas.size());
-      std::copy(replicas.begin(), replicas.end(), row + 1);
-    }
-    fold(static_cast<uint64_t>(row[0]));
-    for (int k = 1; k <= row[0]; ++k) {
-      fold(static_cast<uint64_t>(row[k]));
-    }
-  }
-  return h;
-}
-
 double ShardMap::OwnershipShare(int node, int samples) const {
   if (samples <= 0) {
     return 0.0;

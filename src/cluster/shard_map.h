@@ -43,19 +43,7 @@ class ShardMap {
   // exactly the set the returning overload would produce.
   void ReplicasFor(uint64_t key, std::vector<int>& out) const;
 
-  // -- Segment API --
-  //
-  // A *segment* is one arc of the ring: every key hashing into the arc
-  // ending at ring point i maps to segment i and shares one replica set.
-  // Replica sets are a pure function of (segment, ejected mask), so
-  // OwnershipDigest walks each probed segment once per call.
-
-  // Segment index for `key`: a ring point index (0 on an empty ring),
-  // O(1) via a guide table over the (uniform) ring point distribution.
-  // Identical to the start position the ReplicasFor walk uses.
-  size_t SegmentOf(uint64_t key) const;
-
-  // Pure prefetch of the guide-table line SegmentOf(key) will touch:
+  // Pure prefetch of the guide-table line ReplicasFor(key) will touch:
   // callers that know upcoming keys (the columnar issue loop) hide the
   // lookup miss behind the current op. No observable effect.
   void PrefetchSegmentOf(uint64_t key) const {
@@ -63,10 +51,6 @@ class ShardMap {
       __builtin_prefetch(&lookup_[HashKey(key) >> lookup_shift_]);
     }
   }
-
-  // The replica set shared by every key in `seg` — exactly what
-  // ReplicasFor produces for those keys.
-  void ReplicasForSegment(size_t seg, std::vector<int>& out) const;
 
   // Monotone rebalance epoch: bumped by every effective Eject/Uneject, so
   // a caller that saw epoch e knows no replica set moved while it still
@@ -76,12 +60,9 @@ class ShardMap {
   // Explicit rebalance: removes/restores a node's ring ownership. Both are
   // idempotent and O(1); lookups skip ejected owners. Because lookups
   // derive everything from the immutable ring plus the ejected mask,
-  // Eject∘Uneject is the identity on ownership for any interleaving — the
-  // property tests pin this byte-for-byte via OwnershipDigest().
+  // Eject∘Uneject is the identity on ownership for any interleaving.
   void Eject(int node);
   void Uneject(int node);
-  // Backward-compatible alias for Uneject.
-  void Restore(int node) { Uneject(node); }
 
   bool IsEjected(int node) const { return ejected_[static_cast<size_t>(node)]; }
   int nodes() const { return nodes_; }
@@ -92,11 +73,6 @@ class ShardMap {
   // Fraction of `samples` deterministic probe keys whose *primary* replica
   // is `node` — the load-balance diagnostic used by tests and reports.
   double OwnershipShare(int node, int samples = 4096) const;
-
-  // FNV-1a digest over the full replica sets of `samples` deterministic
-  // probe keys: a byte-identity witness for the whole ownership function.
-  // Two maps with equal digests place every probed key identically.
-  uint64_t OwnershipDigest(int samples = 2048) const;
 
   // Whether `other` places every key exactly as this map does. The ring is
   // a pure function of (nodes, vnodes_per_node), so two maps built from
@@ -117,6 +93,13 @@ class ShardMap {
       return where != o.where ? where < o.where : node < o.node;
     }
   };
+
+  // A *segment* is one arc of the ring: every key hashing into the arc
+  // ending at ring point i maps to segment i and shares one replica set.
+  // SegmentOf finds it in O(1) via a guide table over the (uniform) ring
+  // point distribution (0 on an empty ring); ReplicasForSegment walks it.
+  size_t SegmentOf(uint64_t key) const;
+  void ReplicasForSegment(size_t seg, std::vector<int>& out) const;
 
   int nodes_;
   ShardMapParams params_;

@@ -35,14 +35,6 @@ const LogEntry& MetadataNode::EntryAt(uint64_t index) const {
   return log_[static_cast<size_t>(index - log_base_ - 1)];
 }
 
-std::vector<LogEntry> MetadataNode::CommittedSuffix() const {
-  std::vector<LogEntry> out;
-  for (uint64_t i = log_base_ + 1; i <= commit_; ++i) {
-    out.push_back(EntryAt(i));
-  }
-  return out;
-}
-
 void MetadataNode::Start() {
   last_heartbeat_ = group_.sim_.Now();
   ArmFaultHandlers();
@@ -482,7 +474,6 @@ void MetadataNode::MaybeCompact() {
   log_.erase(log_.begin(),
              log_.begin() + static_cast<long>(applied - log_base_));
   log_base_ = applied;
-  ++compactions_;
   group_.snapshots_taken_++;
 }
 
@@ -519,7 +510,7 @@ ConsensusGroup::ConsensusGroup(Simulator& sim, ConsensusParams params,
       recorder_(recorder), until_(SimTime::Zero()),
       leaderless_since_(SimTime::Zero()) {
   params_.net.ports = std::max(params_.net.ports, params_.replicas);
-  switch_ = std::make_unique<Switch>(sim_, params_.net, nullptr, recorder_);
+  switch_ = std::make_unique<Switch>(sim_, params_.net, recorder_);
   Rng root = sim_.rng().Fork();
   for (int i = 0; i < params_.replicas; ++i) {
     nodes_.push_back(

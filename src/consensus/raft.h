@@ -148,7 +148,6 @@ class MetadataNode {
   Node& device() { return *device_; }
   const Node& device() const { return *device_; }
   const std::string& name() const { return name_; }
-  Role role() const { return role_; }
   uint64_t term() const { return term_; }
   uint64_t commit_index() const { return commit_; }
   uint64_t last_index() const {
@@ -156,10 +155,6 @@ class MetadataNode {
   }
   const ControlState& state() const { return state_; }
   const ControlSnapshot& snapshot() const { return snap_; }
-  // Committed entries still present in the (possibly compacted) log:
-  // [log_base_+1, commit_], exposed for the replay-determinism tests.
-  std::vector<LogEntry> CommittedSuffix() const;
-  int compactions() const { return compactions_; }
 
  private:
   friend class ConsensusGroup;
@@ -210,7 +205,6 @@ class MetadataNode {
   int votes_ = 0;
   std::vector<uint64_t> next_index_;
   std::vector<uint64_t> match_index_;
-  int compactions_ = 0;
 };
 
 // The quorum plus its interconnect, client (proposal) pipeline, and the

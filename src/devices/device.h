@@ -67,7 +67,6 @@ class FaultableDevice {
   void AttachModulator(std::shared_ptr<ServiceModulator> m) {
     modulators_.push_back(std::move(m));
   }
-  void ClearModulators() { modulators_.clear(); }
   size_t modulator_count() const { return modulators_.size(); }
 
   // Transitions to the failed (fail-stop) state. Idempotent.

@@ -180,7 +180,6 @@ void Disk::CompleteService(const DiskRequest& req, SimTime issued,
   blocks_serviced_ += req.nblocks;
   last_activity_ = now;
   const Duration latency = now - issued;
-  latency_.AddDuration(latency);
   if (metrics_ != nullptr) {
     metrics_->GetCounter("disk." + name() + ".blocks").Increment(
         static_cast<double>(req.nblocks));

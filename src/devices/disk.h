@@ -26,7 +26,6 @@
 #include "src/obs/recorder.h"
 #include "src/simcore/metrics.h"
 #include "src/simcore/simulator.h"
-#include "src/simcore/stats.h"
 #include "src/simcore/time.h"
 
 namespace fst {
@@ -99,8 +98,6 @@ class Disk : public FaultableDevice {
 
   size_t queue_depth() const { return queue_.size() + (busy_ ? 1 : 0); }
   int64_t blocks_serviced() const { return blocks_serviced_; }
-  const Histogram& latency_histogram() const { return latency_; }
-  Duration busy_time() const { return busy_time_; }
 
   // Utilization in [0,1] over the run so far.
   double Utilization() const;
@@ -121,7 +118,6 @@ class Disk : public FaultableDevice {
   int64_t head_pos_ = 0;      // block index after last transfer
   std::set<int64_t> remapped_;
   int64_t blocks_serviced_ = 0;
-  Histogram latency_;
   Duration busy_time_ = Duration::Zero();
   SimTime first_activity_;
   SimTime last_activity_;

@@ -41,16 +41,6 @@ DiskParams MakeZonedDiskParams(double outer_mbps, double outer_to_inner,
   return p;
 }
 
-DiskParams MakeFastDiskParams(double mbps) {
-  DiskParams p;
-  p.model = "fast";
-  p.capacity_blocks = 1 << 22;
-  p.rpm = 10000.0;
-  p.avg_seek = Duration::Millis(5);
-  p.flat_bandwidth_mbps = mbps;
-  return p;
-}
-
 void ApplyBadBlockProfile(Disk& disk, int64_t span_blocks, int remap_count,
                           uint64_t seed) {
   Rng rng(seed);

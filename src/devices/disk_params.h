@@ -22,9 +22,6 @@ DiskParams MakeDegradedHawkParams();
 DiskParams MakeZonedDiskParams(double outer_mbps, double outer_to_inner,
                                int zone_count, int64_t capacity_blocks);
 
-// A modern-ish flat disk for scale experiments.
-DiskParams MakeFastDiskParams(double mbps);
-
 // Sprinkles `remap_count` remapped blocks uniformly across the first
 // `span_blocks` blocks of the disk (deterministic given `seed`).
 void ApplyBadBlockProfile(Disk& disk, int64_t span_blocks, int remap_count,

@@ -17,7 +17,6 @@ class ConstantFactorModulator : public ServiceModulator {
  public:
   explicit ConstantFactorModulator(double factor) : factor_(factor) {}
   double TimeFactor(SimTime) override { return factor_; }
-  void set_factor(double f) { factor_ = f; }
   double factor() const { return factor_; }
 
  private:
@@ -46,8 +45,6 @@ class OfflineWindowModulator : public ServiceModulator {
     }
     return worst;
   }
-
-  size_t window_count() const { return windows_.size(); }
 
  private:
   struct Window {

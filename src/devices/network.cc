@@ -1,6 +1,8 @@
 #include "src/devices/network.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 namespace fst {
 
@@ -8,11 +10,28 @@ namespace {
 constexpr double kMega = 1e6;
 // Two-stage: send_end_ of a port whose send server is busy.
 constexpr SimTime kBusy = SimTime::Max();
+
+// A stage's service is bytes / link rate plus the overhead, cast to integer
+// nanos, and a message waits for fabric space: each knob must keep that
+// finite and non-negative.
+void ValidateSwitchParams(const SwitchParams& p) {
+  if (!(std::isfinite(p.link_mbps) && p.link_mbps > 0.0)) {
+    throw std::invalid_argument(
+        "SwitchParams.link_mbps must be finite and > 0");
+  }
+  if (p.fabric_buffer_bytes <= 0) {
+    throw std::invalid_argument("SwitchParams.fabric_buffer_bytes must be > 0");
+  }
+  if (p.per_message_overhead.IsNegative()) {
+    throw std::invalid_argument(
+        "SwitchParams.per_message_overhead must be >= 0");
+  }
+}
 }  // namespace
 
-Switch::Switch(Simulator& sim, SwitchParams params, MetricRegistry* metrics,
-               EventRecorder* recorder)
-    : sim_(sim), params_(params), metrics_(metrics), recorder_(recorder),
+Switch::Switch(Simulator& sim, SwitchParams params, EventRecorder* recorder)
+    : sim_(sim), params_((ValidateSwitchParams(params), params)),
+      recorder_(recorder),
       send_end_(params.ports, SimTime::Zero()), send_queues_(params.ports),
       awaiting_admission_(params.ports), recv_queues_(params.ports),
       recv_event_(params.ports), recv_speed_(params.ports, 1.0),
@@ -296,10 +315,6 @@ void Switch::Deliver(int port) {
                             p.admitted - p.enqueued);
     recorder_->RequestComplete(now, trace_comp_, p.trace_id, port,
                                p.admitted - p.enqueued, now - p.admitted);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("switch.delivered_bytes")
-        .Increment(static_cast<double>(p.msg.bytes));
   }
   // The receiver stays busy while `done` runs (it may send, or switch the
   // model to two-stage).

@@ -35,7 +35,6 @@
 
 #include "src/obs/recorder.h"
 #include "src/simcore/inline_callback.h"
-#include "src/simcore/metrics.h"
 #include "src/simcore/ring_fifo.h"
 #include "src/simcore/simulator.h"
 #include "src/simcore/stats.h"
@@ -61,7 +60,9 @@ struct SwitchParams {
 
 class Switch {
  public:
-  Switch(Simulator& sim, SwitchParams params, MetricRegistry* metrics = nullptr,
+  // Throws std::invalid_argument unless link_mbps is finite and > 0,
+  // fabric_buffer_bytes > 0 and per_message_overhead >= 0.
+  Switch(Simulator& sim, SwitchParams params,
          EventRecorder* recorder = nullptr);
 
   // Sends a message; `msg.done` fires at delivery (after receive drain).
@@ -124,7 +125,6 @@ class Switch {
 
   Simulator& sim_;
   SwitchParams params_;
-  MetricRegistry* metrics_;
   EventRecorder* recorder_;
   uint16_t trace_comp_ = 0;
 

@@ -1,11 +1,18 @@
 #include "src/devices/node.h"
 
+#include <cmath>
+#include <stdexcept>
+
 namespace fst {
 
 Node::Node(Simulator& sim, std::string name, NodeParams params,
            EventRecorder* recorder)
     : FaultableDevice(std::move(name)), sim_(sim), params_(params),
       recorder_(recorder) {
+  // Compute time is work / cpu_rate seconds, cast to integer nanos.
+  if (!(std::isfinite(params_.cpu_rate) && params_.cpu_rate > 0.0)) {
+    throw std::invalid_argument("NodeParams.cpu_rate must be finite and > 0");
+  }
   if (recorder_ != nullptr) {
     trace_comp_ = recorder_->Intern(this->name());
   }

@@ -35,6 +35,7 @@ struct NodeParams {
 
 class Node : public FaultableDevice {
  public:
+  // Throws std::invalid_argument unless params.cpu_rate is finite and > 0.
   Node(Simulator& sim, std::string name, NodeParams params,
        EventRecorder* recorder = nullptr);
 

@@ -44,16 +44,6 @@ void FaultInjector::InjectJitter(FaultableDevice& dev, double sigma) {
   // Deliberately not recorded: benign short-term fluctuation.
 }
 
-void FaultInjector::InjectPeriodicOffline(FaultableDevice& dev,
-                                          Duration mean_interval,
-                                          Duration length,
-                                          const std::string& kind) {
-  dev.AttachModulator(std::make_shared<PeriodicOfflineModulator>(
-      sim_.rng().Fork(), mean_interval, length));
-  Record(sim_.Now(), FaultClass::kPerformance, dev.name(), kind,
-         length.ToSeconds() / mean_interval.ToSeconds() + 1.0);
-}
-
 void FaultInjector::InjectOfflineWindows(
     FaultableDevice& dev,
     const std::vector<std::pair<SimTime, Duration>>& windows,

@@ -55,13 +55,9 @@ class FaultInjector {
   // short random fluctuations "can likely be ignored").
   void InjectJitter(FaultableDevice& dev, double sigma);
 
-  // Renewal offline windows (thermal recalibration, GC pauses).
-  void InjectPeriodicOffline(FaultableDevice& dev, Duration mean_interval,
-                             Duration length, const std::string& kind);
-
-  // Offline windows at explicit times — the scripted-chaos variant of
-  // InjectPeriodicOffline: no RNG involved, so scenario schedules replay
-  // exactly. Each window is (start, length).
+  // Offline windows at explicit times (thermal recalibration, GC pauses):
+  // no RNG involved, so scenario schedules replay exactly. Each window is
+  // (start, length).
   void InjectOfflineWindows(
       FaultableDevice& dev,
       const std::vector<std::pair<SimTime, Duration>>& windows,

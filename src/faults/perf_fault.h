@@ -31,7 +31,6 @@ class IntermittentSlowdownModulator : public ServiceModulator {
 
   double TimeFactor(SimTime now) override;
 
-  bool degraded_at_last_query() const { return degraded_; }
   int episodes() const { return episodes_; }
 
  private:

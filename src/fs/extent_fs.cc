@@ -93,17 +93,6 @@ int ExtentFileSystem::ExtentCountOf(FileId id) const {
   return static_cast<int>(it->second.size());
 }
 
-double ExtentFileSystem::MeanFragmentation() const {
-  if (files_.empty()) {
-    return 0.0;
-  }
-  double total = 0.0;
-  for (const auto& [id, extents] : files_) {
-    total += static_cast<double>(extents.size());
-  }
-  return total / static_cast<double>(files_.size());
-}
-
 void ExtentFileSystem::ReadFile(FileId id, std::function<void(double, bool)> done) {
   auto it = files_.find(id);
   if (it == files_.end() || it->second.empty()) {

@@ -50,7 +50,6 @@ class ExtentFileSystem {
   // Allocates a file of `nblocks`; returns -1 if space is exhausted.
   FileId CreateFile(int64_t nblocks);
   bool DeleteFile(FileId id);
-  bool Exists(FileId id) const { return files_.contains(id); }
 
   // Sequential whole-file read through the disk; done(mbps, ok).
   void ReadFile(FileId id, std::function<void(double, bool)> done);
@@ -62,9 +61,6 @@ class ExtentFileSystem {
 
   // Fragments the file is stored in (1 = perfectly contiguous).
   int ExtentCountOf(FileId id) const;
-
-  // Mean extents per file across live files.
-  double MeanFragmentation() const;
 
   int64_t free_blocks() const { return free_blocks_; }
   size_t file_count() const { return files_.size(); }

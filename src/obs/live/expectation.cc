@@ -27,13 +27,6 @@ void ExpectationTracker::Observe(int node, SimTime now, double units,
   per_node_[static_cast<size_t>(node)].windows.Record(now, cost);
 }
 
-void ExpectationTracker::ObserveBatch(const ObsRow* rows, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const ObsRow& r = rows[i];
-    Observe(r.node, r.now, r.units, r.latency);
-  }
-}
-
 void ExpectationTracker::AdvanceTo(SimTime now) {
   const int64_t target = now.nanos() / params_.window.nanos();
   if (!started_) {

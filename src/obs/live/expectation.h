@@ -78,15 +78,6 @@ struct GraySpan {
   int windows = 0;
 };
 
-// One buffered completion observation, as staged by LivePlane between
-// telemetry ticks and flushed in bulk at tick boundaries.
-struct ObsRow {
-  int32_t node = 0;
-  SimTime now;
-  double units = 0.0;
-  Duration latency;
-};
-
 class ExpectationTracker {
  public:
   ExpectationTracker(int nodes, ExpectationParams params);
@@ -96,12 +87,6 @@ class ExpectationTracker {
   // the registry, so queueing at a healthy node does not read as
   // stutter).
   void Observe(int node, SimTime now, double units, Duration latency);
-
-  // Bulk ingestion: applies `n` rows in order. Equivalent — including the
-  // first-observation window seeding and every per-node float
-  // accumulation order — to n sequential Observe calls, so a buffered
-  // plane and an unbuffered one reach bit-identical state.
-  void ObserveBatch(const ObsRow* rows, size_t n);
 
   // Closes and scores every window ending at or before `now`, across all
   // nodes in lockstep (peer medians are per-window). Called on the

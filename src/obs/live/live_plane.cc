@@ -23,17 +23,13 @@ void LivePlane::ObserveNode(int node, SimTime now, double units,
   if (!params_.enabled) {
     return;
   }
-  pending_.push_back(ObsRow{node, now, units, latency});
+  expectation_.Observe(node, now, units, latency);
 }
 
 void LivePlane::Tick(SimTime now, OutcomeCounts cum) {
   if (!params_.enabled) {
     return;
   }
-  // Flush in arrival order, then close windows: identical call sequence
-  // to the unbuffered plane, so tracker state is bit-identical.
-  expectation_.ObserveBatch(pending_.data(), pending_.size());
-  pending_.clear();
   expectation_.AdvanceTo(now);
   burn_.Tick(now, cum);
 }

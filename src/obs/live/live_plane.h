@@ -13,7 +13,6 @@
 #define SRC_OBS_LIVE_LIVE_PLANE_H_
 
 #include <string>
-#include <vector>
 
 #include "src/obs/live/burn_rate.h"
 #include "src/obs/live/expectation.h"
@@ -38,20 +37,13 @@ class LivePlane {
   Duration window() const { return params_.window; }
 
   // One completed unit of replica work: `units` of backlog-normalized
-  // work finished in `latency`. No-op when disabled. The observation is
-  // buffered — a 32-byte append on the serving hot path — and applied to
-  // the tracker in bulk at the next Tick(); since scores, gray spans, and
-  // every exported row derive only from *closed* windows, deferral to the
-  // tick boundary is observationally identical to immediate ingestion.
+  // work finished in `latency`, fed straight to the tracker. No-op when
+  // disabled.
   void ObserveNode(int node, SimTime now, double units, Duration latency);
 
-  // One telemetry tick: flushes buffered observations, closes expectation
-  // windows up to `now`, and feeds the burn alerter the cumulative
-  // outcome counts. No-op when disabled.
+  // One telemetry tick: closes expectation windows up to `now` and feeds
+  // the burn alerter the cumulative outcome counts. No-op when disabled.
   void Tick(SimTime now, OutcomeCounts cum);
-
-  // Observations buffered since the last Tick (test/introspection hook).
-  size_t pending_observations() const { return pending_.size(); }
 
   const ExpectationTracker& expectation() const { return expectation_; }
   const SloBurnAlerter& burn() const { return burn_; }
@@ -63,9 +55,6 @@ class LivePlane {
   LivePlaneParams params_;
   ExpectationTracker expectation_;
   SloBurnAlerter burn_;
-  // Completions staged between ticks; capacity is retained across flushes
-  // so steady state allocates nothing.
-  std::vector<ObsRow> pending_;
 };
 
 }  // namespace fst

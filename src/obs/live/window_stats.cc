@@ -48,21 +48,6 @@ void QuantileSketch::Add(double value) {
   ++buckets_[BucketIndex(value)];
 }
 
-void QuantileSketch::AddN(double value, uint64_t n) {
-  if (n == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  count_ += n;
-  sum_ += value * static_cast<double>(n);
-  buckets_[BucketIndex(value)] += n;
-}
-
 void QuantileSketch::Merge(const QuantileSketch& o) {
   if (o.count_ == 0 || o.sub_bucket_bits_ != sub_bucket_bits_) {
     return;

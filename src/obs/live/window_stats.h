@@ -39,12 +39,6 @@ class QuantileSketch {
 
   void Add(double value);
   void AddDuration(Duration d) { Add(static_cast<double>(d.nanos())); }
-  // Records `n` observations of `value` with one bucket mutation (the
-  // bulk-ingestion path for coalesced telemetry). Counts, buckets,
-  // min/max, and quantiles match n sequential Add(value) calls exactly;
-  // the sum matches whenever value * n is exact — always true for
-  // integer-valued data such as latency nanos.
-  void AddN(double value, uint64_t n);
   void Merge(const QuantileSketch& o);
   void Reset();
 

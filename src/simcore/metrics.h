@@ -42,16 +42,6 @@ class MetricRegistry {
   Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
 
-  bool HasCounter(const std::string& name) const {
-    return counters_.contains(name);
-  }
-  bool HasGauge(const std::string& name) const {
-    return gauges_.contains(name);
-  }
-  bool HasHistogram(const std::string& name) const {
-    return histograms_.contains(name);
-  }
-
   // Numeric histogram digest for machine-readable exports.
   struct HistogramStats {
     uint64_t count = 0;

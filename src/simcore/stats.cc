@@ -75,25 +75,6 @@ double Histogram::BucketUpperBound(size_t index) const {
   return static_cast<double>(base + width - 1);
 }
 
-void Histogram::RecordN(double value, uint64_t n) {
-  if (n == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  count_ += n;
-  sum_ += value * static_cast<double>(n);
-  size_t idx = BucketIndex(value);
-  if (idx >= buckets_.size()) {
-    idx = buckets_.size() - 1;
-  }
-  buckets_[idx] += n;
-}
-
 void Histogram::Merge(const Histogram& o) {
   if (o.count_ == 0) {
     return;

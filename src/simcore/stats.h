@@ -64,11 +64,6 @@ class Histogram {
     ++buckets_[idx];
   }
   void AddDuration(Duration d) { Add(static_cast<double>(d.nanos())); }
-  // Records `n` observations of `value` in O(1): one bucket increment and
-  // sum_ += value * n. Counts, buckets, min/max, and quantiles match n
-  // sequential Add(value) calls exactly; the sum matches whenever
-  // value * n is exact (always true for integer-valued data like nanos).
-  void RecordN(double value, uint64_t n);
   void Merge(const Histogram& o);
   void Reset();
 
@@ -84,8 +79,6 @@ class Histogram {
   // ceil(q*n)-th value, clamped into [min(), max()], with q clamped to
   // [0, 1].
   double ValueAtQuantile(double q) const;
-  // Legacy alias for ValueAtQuantile.
-  double Quantile(double q) const { return ValueAtQuantile(q); }
   double P50() const { return ValueAtQuantile(0.50); }
   double P95() const { return ValueAtQuantile(0.95); }
   double P99() const { return ValueAtQuantile(0.99); }

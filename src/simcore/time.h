@@ -34,7 +34,6 @@ class Duration {
 
   constexpr int64_t nanos() const { return ns_; }
   constexpr double ToSeconds() const { return static_cast<double>(ns_) / 1e9; }
-  constexpr double ToMillis() const { return static_cast<double>(ns_) / 1e6; }
 
   constexpr bool IsZero() const { return ns_ == 0; }
   constexpr bool IsNegative() const { return ns_ < 0; }

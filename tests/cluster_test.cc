@@ -85,85 +85,16 @@ TEST(ShardMapTest, RestoreRoundTripsExactly) {
     before.push_back(map.ReplicasFor(key));
   }
   map.Eject(3);
-  map.Restore(3);
+  map.Uneject(3);
   EXPECT_EQ(map.rebalances(), 2);
   for (uint64_t key = 0; key < 256; ++key) {
     EXPECT_EQ(map.ReplicasFor(key), before[key]);
   }
 }
 
-TEST(ShardMapTest, EjectUnejectIsIdentityUnderRandomInterleavings) {
-  ShardMap map(6, {64, 3});
-  const uint64_t baseline = map.OwnershipDigest();
-  Rng rng(12345);
-  for (int trial = 0; trial < 25; ++trial) {
-    // Eject a random subset in random order (always leaving at least one
-    // node live), then uneject in an independently shuffled order. Any
-    // interleaving must restore ownership byte-for-byte.
-    std::vector<int> ejected;
-    const int wanted = 1 + static_cast<int>(rng.UniformInt(0, 4));
-    for (int i = 0; i < wanted; ++i) {
-      const int node = static_cast<int>(rng.UniformInt(0, 5));
-      if (!map.IsEjected(node) && map.live_nodes() > 1) {
-        map.Eject(node);
-        ejected.push_back(node);
-      }
-    }
-    ASSERT_FALSE(ejected.empty());
-    EXPECT_NE(map.OwnershipDigest(), baseline) << "trial " << trial;
-    for (size_t i = ejected.size(); i > 1; --i) {
-      std::swap(ejected[i - 1],
-                ejected[static_cast<size_t>(
-                    rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
-    }
-    for (const int node : ejected) {
-      map.Uneject(node);
-    }
-    EXPECT_EQ(map.OwnershipDigest(), baseline) << "trial " << trial;
-    EXPECT_EQ(map.live_nodes(), 6) << "trial " << trial;
-  }
-}
-
-// SameOwnership, the exact check the campaigns use, agrees with the
-// probe-key witness and with every key's replica set: two maps with the
-// same ring own keys identically exactly when they eject the same nodes.
-TEST(ShardMapTest, SameOwnershipIffEjectedMasksMatch) {
-  ShardMap a(6, {64, 3});
-  ShardMap b(6, {64, 3});
-  Rng rng(777);
-  for (int step = 0; step < 200; ++step) {
-    ShardMap& m = rng.UniformDouble() < 0.5 ? a : b;
-    const int node = static_cast<int>(rng.UniformInt(0, 5));
-    if (m.IsEjected(node)) {
-      m.Uneject(node);
-    } else if (m.live_nodes() > 1) {
-      m.Eject(node);
-    }
-    bool same_sets = true;
-    for (uint64_t key = 0; key < 512; ++key) {
-      same_sets = same_sets && a.ReplicasFor(key) == b.ReplicasFor(key);
-    }
-    EXPECT_EQ(a.SameOwnership(b), same_sets) << "step " << step;
-    EXPECT_EQ(a.SameOwnership(b), a.OwnershipDigest() == b.OwnershipDigest())
-        << "step " << step;
-  }
-  EXPECT_FALSE(ShardMap(6, {64, 3}).SameOwnership(ShardMap(6, {32, 3})));
-  EXPECT_FALSE(ShardMap(6, {64, 3}).SameOwnership(ShardMap(6, {64, 2})));
-  EXPECT_FALSE(ShardMap(6, {64, 3}).SameOwnership(ShardMap(7, {64, 3})));
-}
-
-TEST(ShardMapTest, AllNodesEjectedYieldsEmptySets) {
-  ShardMap map(3, {16, 2});
-  map.Eject(0);
-  map.Eject(1);
-  map.Eject(2);
-  EXPECT_EQ(map.live_nodes(), 0);
-  EXPECT_TRUE(map.ReplicasFor(42).empty());
-}
-
-// Reference fold for OwnershipDigest: FNV-1a over (set size, members...)
-// of probe keys 0..samples-1, each value as 8 little-endian bytes, using
-// nothing but the public per-key lookup.
+// Ownership witness: FNV-1a over (set size, members...) of probe keys
+// 0..samples-1, each value as 8 little-endian bytes, folded from the
+// per-key lookup.
 uint64_t ReferenceOwnershipDigest(const ShardMap& map, int samples) {
   uint64_t h = 14695981039346656037ull;
   const auto fold = [&h](uint64_t v) {
@@ -182,40 +113,73 @@ uint64_t ReferenceOwnershipDigest(const ShardMap& map, int samples) {
   return h;
 }
 
-TEST(ShardMapTest, OwnershipDigestMatchesPerKeyReferenceFold) {
-  Rng rng(2024);
-  for (int nodes = 1; nodes <= 8; ++nodes) {
-    for (int replication = 1; replication <= 3; ++replication) {
-      for (const int vnodes : {0, 1, 16, 64}) {
-        ShardMap map(nodes, {vnodes, replication});
-        const std::string where = "nodes=" + std::to_string(nodes) +
-                                  " r=" + std::to_string(replication) +
-                                  " vnodes=" + std::to_string(vnodes);
-        EXPECT_EQ(map.OwnershipDigest(), ReferenceOwnershipDigest(map, 2048))
-            << where;
-        for (int trial = 0; trial < 6; ++trial) {
-          for (int n = 0; n < nodes; ++n) {
-            if (rng.UniformInt(0, 2) == 0) {
-              map.Eject(n);
-            } else {
-              map.Uneject(n);
-            }
-          }
-          const int samples = trial == 0 ? 2048 : static_cast<int>(
-                                                      rng.UniformInt(0, 700));
-          EXPECT_EQ(map.OwnershipDigest(samples),
-                    ReferenceOwnershipDigest(map, samples))
-              << where << " trial " << trial << " samples " << samples;
-        }
-        for (int n = 0; n < nodes; ++n) {
-          map.Eject(n);
-        }
-        ASSERT_EQ(map.live_nodes(), 0) << where;
-        EXPECT_EQ(map.OwnershipDigest(), ReferenceOwnershipDigest(map, 2048))
-            << where << " all ejected";
+TEST(ShardMapTest, EjectUnejectIsIdentityUnderRandomInterleavings) {
+  ShardMap map(6, {64, 3});
+  const uint64_t baseline = ReferenceOwnershipDigest(map, 2048);
+  Rng rng(12345);
+  for (int trial = 0; trial < 25; ++trial) {
+    // Eject a random subset in random order (always leaving at least one
+    // node live), then uneject in an independently shuffled order. Any
+    // interleaving must restore ownership byte-for-byte.
+    std::vector<int> ejected;
+    const int wanted = 1 + static_cast<int>(rng.UniformInt(0, 4));
+    for (int i = 0; i < wanted; ++i) {
+      const int node = static_cast<int>(rng.UniformInt(0, 5));
+      if (!map.IsEjected(node) && map.live_nodes() > 1) {
+        map.Eject(node);
+        ejected.push_back(node);
       }
     }
+    ASSERT_FALSE(ejected.empty());
+    EXPECT_NE(ReferenceOwnershipDigest(map, 2048), baseline)
+        << "trial " << trial;
+    for (size_t i = ejected.size(); i > 1; --i) {
+      std::swap(ejected[i - 1],
+                ejected[static_cast<size_t>(
+                    rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
+    }
+    for (const int node : ejected) {
+      map.Uneject(node);
+    }
+    EXPECT_EQ(ReferenceOwnershipDigest(map, 2048), baseline)
+        << "trial " << trial;
+    EXPECT_EQ(map.live_nodes(), 6) << "trial " << trial;
   }
+}
+
+// SameOwnership, the exact check the campaigns use, agrees with every
+// key's replica set: two maps with the same ring own keys identically
+// exactly when they eject the same nodes.
+TEST(ShardMapTest, SameOwnershipIffEjectedMasksMatch) {
+  ShardMap a(6, {64, 3});
+  ShardMap b(6, {64, 3});
+  Rng rng(777);
+  for (int step = 0; step < 200; ++step) {
+    ShardMap& m = rng.UniformDouble() < 0.5 ? a : b;
+    const int node = static_cast<int>(rng.UniformInt(0, 5));
+    if (m.IsEjected(node)) {
+      m.Uneject(node);
+    } else if (m.live_nodes() > 1) {
+      m.Eject(node);
+    }
+    bool same_sets = true;
+    for (uint64_t key = 0; key < 512; ++key) {
+      same_sets = same_sets && a.ReplicasFor(key) == b.ReplicasFor(key);
+    }
+    EXPECT_EQ(a.SameOwnership(b), same_sets) << "step " << step;
+  }
+  EXPECT_FALSE(ShardMap(6, {64, 3}).SameOwnership(ShardMap(6, {32, 3})));
+  EXPECT_FALSE(ShardMap(6, {64, 3}).SameOwnership(ShardMap(6, {64, 2})));
+  EXPECT_FALSE(ShardMap(6, {64, 3}).SameOwnership(ShardMap(7, {64, 3})));
+}
+
+TEST(ShardMapTest, AllNodesEjectedYieldsEmptySets) {
+  ShardMap map(3, {16, 2});
+  map.Eject(0);
+  map.Eject(1);
+  map.Eject(2);
+  EXPECT_EQ(map.live_nodes(), 0);
+  EXPECT_TRUE(map.ReplicasFor(42).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -1064,6 +1028,43 @@ TEST(ClusterParamsTest, RejectsNonPositiveLiveWindow) {
   }
   p.live.window = Duration::Nanos(1);
   EXPECT_NO_THROW(BuildService(p));
+}
+
+TEST(ClusterParamsTest, RejectsNonPositiveOrNonFiniteWork) {
+  for (const bool reads : {true, false}) {
+    ClusterParams p;
+    double& work = reads ? p.read_work : p.write_work;
+    for (const double w : {0.0, -1e30, std::nan(""), HUGE_VAL}) {
+      work = w;
+      EXPECT_THROW(BuildService(p), std::invalid_argument)
+          << (reads ? "read_work " : "write_work ") << w;
+    }
+    work = 1e-3;
+    EXPECT_NO_THROW(BuildService(p));
+  }
+}
+
+TEST(ClusterParamsTest, RejectsNegativeMessageBytes) {
+  for (const bool request : {true, false}) {
+    ClusterParams p;
+    int64_t& bytes = request ? p.request_bytes : p.response_bytes;
+    bytes = -1;
+    EXPECT_THROW(BuildService(p), std::invalid_argument)
+        << (request ? "request_bytes" : "response_bytes");
+    bytes = 0;
+    EXPECT_NO_THROW(BuildService(p));
+  }
+}
+
+// The service builds its Switch and Nodes from params.net and params.node,
+// so their constructors' checks reach every cluster.
+TEST(ClusterParamsTest, RejectsDeviceKnobsItsDevicesReject) {
+  ClusterParams p;
+  p.net.link_mbps = 0.0;
+  EXPECT_THROW(BuildService(p), std::invalid_argument);
+  p = ClusterParams{};
+  p.node.cpu_rate = 0.0;
+  EXPECT_THROW(BuildService(p), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -178,6 +180,37 @@ TEST(SwitchTest, DeliveryLatencyHistogramPopulated) {
   sim.Run();
   EXPECT_EQ(net.delivery_latency().count(), 8u);
   EXPECT_EQ(net.fabric_occupancy(), 0);
+}
+
+// Each knob below would turn a transfer time into an infinite or negative
+// cast to integer nanos, or park every message for want of fabric space.
+TEST(SwitchTest, RejectsNonPositiveOrNonFiniteLinkRate) {
+  Simulator sim;
+  for (const double mbps : {0.0, -40.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(Switch(sim, SmallSwitch(4, mbps)), std::invalid_argument)
+        << mbps;
+  }
+  EXPECT_NO_THROW(Switch(sim, SmallSwitch(4, 1e-3)));
+}
+
+TEST(SwitchTest, RejectsNonPositiveFabricBuffer) {
+  Simulator sim;
+  SwitchParams p = SmallSwitch();
+  for (const int64_t bytes : {int64_t{0}, int64_t{-1}}) {
+    p.fabric_buffer_bytes = bytes;
+    EXPECT_THROW(Switch(sim, p), std::invalid_argument) << bytes;
+  }
+  p.fabric_buffer_bytes = 1;
+  EXPECT_NO_THROW(Switch(sim, p));
+}
+
+TEST(SwitchTest, RejectsNegativePerMessageOverhead) {
+  Simulator sim;
+  SwitchParams p = SmallSwitch();
+  p.per_message_overhead = Duration::Nanos(-1);
+  EXPECT_THROW(Switch(sim, p), std::invalid_argument);
+  p.per_message_overhead = Duration::Zero();
+  EXPECT_NO_THROW(Switch(sim, p));
 }
 
 // ---------------------------------------------------------------------------

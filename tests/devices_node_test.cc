@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "src/devices/modulators.h"
 #include "src/devices/node.h"
@@ -29,6 +31,17 @@ TEST(NodeTest, ComputeTimeMatchesRate) {
   });
   RunAndExpect(sim, done);
   EXPECT_NEAR(latency.ToSeconds(), 0.5, 1e-9);
+}
+
+TEST(NodeTest, RejectsNonPositiveOrNonFiniteCpuRate) {
+  Simulator sim;
+  NodeParams p = FastNode();
+  for (const double rate : {0.0, -1e6, std::nan(""), HUGE_VAL}) {
+    p.cpu_rate = rate;
+    EXPECT_THROW(Node(sim, "n0", p), std::invalid_argument) << rate;
+  }
+  p.cpu_rate = 1e-3;
+  EXPECT_NO_THROW(Node(sim, "n0", p));
 }
 
 TEST(NodeTest, FifoQueueing) {

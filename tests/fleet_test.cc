@@ -91,37 +91,6 @@ TEST(ZipfGuideTest, ProbabilitiesStillSumToOne) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram::RecordN
-// ---------------------------------------------------------------------------
-
-TEST(RecordNTest, MatchesRepeatedAddsOnIntegerValues) {
-  Histogram a, b;
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const double v = static_cast<double>(rng.UniformInt(0, 50'000'000));
-    const uint64_t n = static_cast<uint64_t>(rng.UniformInt(1, 17));
-    a.RecordN(v, n);
-    for (uint64_t k = 0; k < n; ++k) {
-      b.Add(v);
-    }
-  }
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.sum(), b.sum());
-  EXPECT_EQ(a.min(), b.min());
-  EXPECT_EQ(a.max(), b.max());
-  for (const double q : {0.5, 0.95, 0.99, 0.999}) {
-    EXPECT_EQ(a.ValueAtQuantile(q), b.ValueAtQuantile(q)) << q;
-  }
-}
-
-TEST(RecordNTest, ZeroCountIsANoOp) {
-  Histogram h;
-  h.RecordN(123.0, 0);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // FleetParams validation + run_for == 0 edges
 // ---------------------------------------------------------------------------
 

@@ -531,51 +531,65 @@ struct ServedScenario {
   uint64_t dropped = 0;
 };
 
-ServedScenario ServeChaosScenario(uint64_t seed, bool request_spans) {
-  Simulator sim(seed);
-  ClusterParams cluster;
-  cluster.nodes = 4;
-  cluster.shard.replication = 2;
-  cluster.write_quorum = 2;
-  cluster.retry.enabled = true;
-  cluster.retry.deadline = Duration::Millis(800);
-  cluster.recovery.enabled = true;
-  cluster.live.enabled = true;
+// One seeded chaos scenario on a 4-node cluster, served by a fleet with a
+// recorder attached, armed but not yet run.
+struct ServedCell {
+  ServedCell(uint64_t seed, bool request_spans) : sim(seed) {
+    ClusterParams cluster;
+    cluster.nodes = 4;
+    cluster.shard.replication = 2;
+    cluster.write_quorum = 2;
+    cluster.retry.enabled = true;
+    cluster.retry.deadline = Duration::Millis(800);
+    cluster.recovery.enabled = true;
+    cluster.live.enabled = true;
+    recorder.set_request_spans(request_spans);
+    svc = std::make_unique<KvService>(
+        sim, cluster, std::make_unique<ProportionalSharePolicy>(), &recorder);
+    injector = std::make_unique<FaultInjector>(sim);
+    injector->set_recorder(&recorder);
+
+    RandomScenarioParams sp;
+    sp.nodes = cluster.nodes;
+    sp.horizon = Duration::Seconds(12.0);
+    sp.gray_faults = 2;
+    schedule = RandomScenario(seed, sp);
+    const auto has = [this](ChaosKind k) {
+      return std::any_of(schedule.events.begin(), schedule.events.end(),
+                         [k](const ChaosEvent& e) { return e.kind == k; });
+    };
+    EXPECT_TRUE(has(ChaosKind::kCrash) || has(ChaosKind::kFlap));
+    EXPECT_TRUE(has(ChaosKind::kSlow));  // the gray stutters
+    ApplySchedule(sim, *svc, schedule, *injector);
+
+    ColumnarFleetParams fp;
+    fp.base.arrivals_per_sec = 300.0;
+    fp.base.run_for = sp.horizon;
+    fp.base.read_fraction = 0.7;
+    fp.base.key_space = 400;
+    fleet = std::make_unique<ColumnarFleet>(sim, fp);
+    end_of_run = SimTime::Zero() + sp.horizon + Duration::Seconds(6.0);
+    svc->StartRecovery(end_of_run);
+    svc->StartTelemetry(end_of_run);
+    fleet->Run(*svc, [](const FleetResult&) {});
+  }
+
+  Simulator sim;
   EventRecorder recorder;
-  recorder.set_request_spans(request_spans);
-  KvService svc(sim, cluster, std::make_unique<ProportionalSharePolicy>(),
-                &recorder);
-  FaultInjector injector(sim);
-  injector.set_recorder(&recorder);
+  std::unique_ptr<KvService> svc;
+  std::unique_ptr<FaultInjector> injector;
+  ChaosSchedule schedule;
+  std::unique_ptr<ColumnarFleet> fleet;
+  SimTime end_of_run;
+};
 
-  RandomScenarioParams sp;
-  sp.nodes = cluster.nodes;
-  sp.horizon = Duration::Seconds(12.0);
-  sp.gray_faults = 2;
-  const ChaosSchedule schedule = RandomScenario(seed, sp);
-  const auto has = [&schedule](ChaosKind k) {
-    return std::any_of(schedule.events.begin(), schedule.events.end(),
-                       [k](const ChaosEvent& e) { return e.kind == k; });
-  };
-  EXPECT_TRUE(has(ChaosKind::kCrash) || has(ChaosKind::kFlap));
-  EXPECT_TRUE(has(ChaosKind::kSlow));  // the gray stutters
-  ApplySchedule(sim, svc, schedule, injector);
-
-  ColumnarFleetParams fp;
-  fp.base.arrivals_per_sec = 300.0;
-  fp.base.run_for = sp.horizon;
-  fp.base.read_fraction = 0.7;
-  fp.base.key_space = 400;
-  ColumnarFleet fleet(sim, fp);
-  const SimTime end_of_run = SimTime::Zero() + sp.horizon + Duration::Seconds(6.0);
-  svc.StartRecovery(end_of_run);
-  svc.StartTelemetry(end_of_run);
-  fleet.Run(svc, [](const FleetResult&) {});
-  sim.Run();
+ServedScenario ServeChaosScenario(uint64_t seed, bool request_spans) {
+  ServedCell cell(seed, request_spans);
+  cell.sim.Run();
 
   ServedScenario out;
-  out.fire_digest = sim.fire_digest();
-  const std::vector<TraceEvent> events = recorder.Events();
+  out.fire_digest = cell.sim.fire_digest();
+  const std::vector<TraceEvent> events = cell.recorder.Events();
   std::vector<TraceEvent> control;
   std::copy_if(events.begin(), events.end(), std::back_inserter(control),
                [](const TraceEvent& e) {
@@ -583,17 +597,17 @@ ServedScenario ServeChaosScenario(uint64_t seed, bool request_spans) {
                         e.kind != EventKind::kRequestStart &&
                         e.kind != EventKind::kRequestComplete;
                });
-  out.control_jsonl = EventsJsonl(control, recorder.components());
+  out.control_jsonl = EventsJsonl(control, cell.recorder.components());
   const CorrelationReport report =
-      CorrelateFaultTimeline(events, recorder.components());
+      CorrelateFaultTimeline(events, cell.recorder.components());
   out.correlation_json = report.ToJson();
   out.detected = report.detected_count;
-  const DetectorScorecard card =
-      BuildScorecard(report, svc.live()->expectation().GraySpans(), end_of_run);
+  const DetectorScorecard card = BuildScorecard(
+      report, cell.svc->live()->expectation().GraySpans(), cell.end_of_run);
   out.scorecard_json = card.ToJson();
   out.gray_faults = card.gray_faults;
-  out.recorded = recorder.total_recorded();
-  out.dropped = recorder.dropped();
+  out.recorded = cell.recorder.total_recorded();
+  out.dropped = cell.recorder.dropped();
   return out;
 }
 
@@ -618,6 +632,27 @@ TEST(ObsIntegrationTest, ControlOnlyRecorderMatchesFullRecorder) {
   }
 }
 
+// The service records an op's completion span in the event where the op
+// completes, not at the front end's next drain: stopped mid-run, the ring
+// holds one cluster completion per finished op. At 300 ops/s the fleet's
+// 4096-arrival window outlasts the run, so nothing drains before the end.
+TEST(ObsIntegrationTest, RingHoldsEachCompletionAtItsOwnEvent) {
+  ServedCell cell(3, true);
+  cell.sim.RunUntil(SimTime::Zero() + Duration::Seconds(5.123));
+  const KvService& svc = *cell.svc;
+  const int64_t finished = svc.reads() + svc.writes() -
+                           static_cast<int64_t>(svc.in_flight_ops());
+  ASSERT_GT(finished, 1000);
+  ASSERT_EQ(cell.recorder.dropped(), 0u);
+  const uint16_t cluster = cell.recorder.Intern("cluster");
+  const std::vector<TraceEvent> events = cell.recorder.Events();
+  const auto completions = std::count_if(
+      events.begin(), events.end(), [cluster](const TraceEvent& e) {
+        return e.kind == EventKind::kRequestComplete && e.component == cluster;
+      });
+  EXPECT_EQ(completions, finished);
+}
+
 TEST(ObsIntegrationTest, SimProfilerSamplesEventLoop) {
   Simulator sim(11);
   EventRecorder rec;
@@ -638,78 +673,6 @@ TEST(ObsIntegrationTest, SimProfilerSamplesEventLoop) {
   }
   // Two counters per tick: events_per_interval and pending_events.
   EXPECT_GE(counter_events, 10);
-}
-
-// ---------------------------------------------------------------- RecordN
-
-namespace {
-
-TraceEvent NumberedEvent(int i) {
-  return TraceEvent{SimTime::Zero() + Duration::Micros(i),
-                    EventKind::kCounterSample,
-                    1,
-                    0,
-                    -1,
-                    static_cast<uint64_t>(i),
-                    static_cast<double>(i),
-                    0.0};
-}
-
-// Drives one scalar-Record recorder and one RecordN recorder through the
-// same event stream chopped into chunks, then demands identical ring
-// state: snapshot, totals, drop count.
-void CheckRecordNEquivalence(size_t capacity, const std::vector<size_t>& chunks) {
-  EventRecorder scalar(capacity);
-  EventRecorder bulk(capacity);
-  int next = 0;
-  for (const size_t chunk : chunks) {
-    std::vector<TraceEvent> batch;
-    batch.reserve(chunk);
-    for (size_t i = 0; i < chunk; ++i) {
-      batch.push_back(NumberedEvent(next++));
-    }
-    for (const TraceEvent& e : batch) {
-      scalar.Record(e);
-    }
-    bulk.RecordN(batch.data(), batch.size());
-  }
-  ASSERT_EQ(bulk.size(), scalar.size());
-  EXPECT_EQ(bulk.total_recorded(), scalar.total_recorded());
-  EXPECT_EQ(bulk.dropped(), scalar.dropped());
-  const auto a = scalar.Events();
-  const auto b = bulk.Events();
-  ASSERT_EQ(b.size(), a.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(b[i].request_id, a[i].request_id) << i;
-    EXPECT_EQ(b[i].when.nanos(), a[i].when.nanos()) << i;
-  }
-}
-
-}  // namespace
-
-TEST(RecorderRecordNTest, FillPhaseOnly) {
-  CheckRecordNEquivalence(64, {5, 0, 17, 1});
-}
-
-TEST(RecorderRecordNTest, WrapsAcrossRingBoundary) {
-  CheckRecordNEquivalence(16, {10, 10, 3, 10});
-}
-
-TEST(RecorderRecordNTest, SingleBatchLargerThanCapacity) {
-  CheckRecordNEquivalence(8, {30});
-}
-
-TEST(RecorderRecordNTest, RepeatedOversizedBatches) {
-  CheckRecordNEquivalence(7, {20, 1, 7, 15, 2});
-}
-
-TEST(RecorderRecordNTest, DisabledRecorderIgnoresBatches) {
-  EventRecorder rec(8);
-  rec.set_enabled(false);
-  std::vector<TraceEvent> batch{NumberedEvent(0), NumberedEvent(1)};
-  rec.RecordN(batch.data(), batch.size());
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.total_recorded(), 0u);
 }
 
 }  // namespace

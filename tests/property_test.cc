@@ -190,7 +190,7 @@ TEST_P(HistogramProperty, QuantileRelativeErrorBounded) {
   std::sort(values.begin(), values.end());
   for (double q : {0.25, 0.5, 0.9, 0.99}) {
     const double exact = values[static_cast<size_t>(q * (values.size() - 1))];
-    const double approx = h.Quantile(q);
+    const double approx = h.ValueAtQuantile(q);
     EXPECT_LE(std::abs(approx - exact) / exact, 0.07) << "q=" << q;
   }
 }

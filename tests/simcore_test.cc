@@ -858,7 +858,7 @@ TEST(HistogramTest, QuantileBoundedError) {
   std::sort(values.begin(), values.end());
   for (double q : {0.5, 0.9, 0.95, 0.99}) {
     const double exact = values[static_cast<size_t>(q * (values.size() - 1))];
-    const double approx = h.Quantile(q);
+    const double approx = h.ValueAtQuantile(q);
     // Log-linear buckets with 32 sub-buckets: <= ~3.2% relative error,
     // allow slack for the ceil-vs-index convention.
     EXPECT_NEAR(approx, exact, exact * 0.05) << "q=" << q;
@@ -873,7 +873,7 @@ TEST(HistogramTest, SmallValuesExact) {
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 9.0);
   EXPECT_EQ(h.count(), 10u);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 9.0);
+  EXPECT_DOUBLE_EQ(h.ValueAtQuantile(1.0), 9.0);
 }
 
 TEST(HistogramTest, FractionAtOrBelow) {
@@ -897,7 +897,7 @@ TEST(HistogramTest, MergeAddsCounts) {
   EXPECT_EQ(a.count(), 200u);
   EXPECT_DOUBLE_EQ(a.min(), 10.0);
   EXPECT_DOUBLE_EQ(a.max(), 1000.0);
-  EXPECT_NEAR(a.Quantile(0.25), 10.0, 1.0);
+  EXPECT_NEAR(a.ValueAtQuantile(0.25), 10.0, 1.0);
 }
 
 TEST(HistogramTest, MergeMatchesCombinedStream) {
@@ -967,14 +967,6 @@ TEST(MetricsTest, ResetAllClears) {
   EXPECT_DOUBLE_EQ(reg.GetCounter("c").value(), 0.0);
   EXPECT_EQ(reg.GetHistogram("h").count(), 0u);
   EXPECT_DOUBLE_EQ(reg.GetGauge("g").value(), 0.0);
-}
-
-TEST(MetricsTest, HasGaugeMatchesHasCounterSemantics) {
-  MetricRegistry reg;
-  EXPECT_FALSE(reg.HasGauge("depth"));
-  reg.GetGauge("depth").Set(1.0);
-  EXPECT_TRUE(reg.HasGauge("depth"));
-  EXPECT_FALSE(reg.HasGauge("other"));
 }
 
 TEST(MetricsTest, SnapshotCarriesHistogramStats) {
